@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "codegen/flatten.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 #include "wsn/mantis_runtime.hpp"
 
 namespace {
@@ -49,7 +49,7 @@ Toggles run_ceu(Micros horizon) {
         t.led1.push_back(e.logical_now());
         return rt::Value::integer(0);
     });
-    env::Driver d(cp, &extra);
+    host::Instance d(cp, {.bindings = &extra});
     d.run(env::Script().advance(horizon));
     return t;
 }

@@ -11,7 +11,7 @@
 //     milliseconds with small automata.
 // Sweep 3 measures the parallel explorer (analysis::explore) against the
 // serial one on a wide-frontier program, verifying order-normalized
-// equivalence while timing each --analysis-jobs setting.
+// equivalence while timing each --analysis.jobs setting.
 // Sweep 4 measures the modular partition-and-compose analysis with its
 // persistent cache: composed (sum) vs monolithic (product) state counts,
 // and cold-vs-warm wall time (a warm cache re-explores nothing).
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
            << "}";
     }
     js << "]";
-    std::printf("\nsweep 3: parallel exploration (--analysis-jobs) on a "
+    std::printf("\nsweep 3: parallel exploration (--analysis.jobs) on a "
                 "wide-frontier program\n");
     std::printf("(hardware concurrency: %u threads)\n",
                 std::thread::hardware_concurrency());

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "codegen/flatten.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 
 int main() {
     using namespace ceu;
@@ -28,7 +28,7 @@ int main() {
     )";
 
     flat::CompiledProgram cp = flat::compile(kFigure1, "figure1.ceu");
-    env::Driver d(cp);
+    host::Instance d(cp);
 
     auto snapshot = [&](const char* what) {
         std::printf("  -> after %-24s reactions=%llu awaiting-trails=%d status=%s\n",

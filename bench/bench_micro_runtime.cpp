@@ -12,7 +12,8 @@
 #include <sstream>
 
 #include "codegen/flatten.hpp"
-#include "env/driver.hpp"
+#include "env/bindings.hpp"
+#include "runtime/engine.hpp"
 
 namespace {
 

@@ -793,10 +793,22 @@ static int ceu_api_async(ceu_ctx_t* C);
                     << "            memset(GATES, 0, sizeof GATES); return;\n";
                 break;
             case IOp::AsyncRun: {
+                // A full table holds dead contexts (each async block has at
+                // most one live one): compact them out in spawn order and
+                // remap the round-robin cursor — the interpreter's order,
+                // whose go_async skips dead contexts. Still full is a broken
+                // invariant: fault, never drop the spawn.
                 const auto& ai = fp_.asyncs[static_cast<size_t>(I.a)];
                 os_ << "            GATES[" << I.b << "] = 1;\n"
+                    << "            if (an == CEU_ACAP) {\n"
+                    << "                int k, live = 0, before = 0;\n"
+                    << "                for (k = 0; k < an; k++) if (AS[k].alive) "
+                       "{ if (k < arr) before++; AS[live++] = AS[k]; }\n"
+                    << "                an = live; arr = before;\n"
+                    << "            }\n"
                     << "            if (an < CEU_ACAP) { AS[an].idx = " << I.a
                     << "; AS[an].pc = " << ai.begin << "; AS[an].alive = 1; an++; }\n"
+                    << "            else { ceu_status = 3; qn = 0; sn = 0; }\n"
                     << "            return;\n";
                 break;
             }

@@ -1,7 +1,6 @@
-// The standard C bindings every host gets, split out of the driver so the
-// ceu::host embedding facade can build an engine without pulling in the
-// script-driving layer (driver.hpp includes host/instance.hpp; this header
-// sits below both).
+// The standard C bindings every host gets. host::Instance merges host
+// extras over them; this header depends only on the runtime, so it sits
+// below host/.
 #pragma once
 
 #include <span>

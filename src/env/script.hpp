@@ -59,8 +59,8 @@ class Script {
 
     /// Fault-plan lines accumulated from `fault ...` script commands, in
     /// the DSL of fault::parse_plan. Empty when the script injects no
-    /// faults. Consumed by network-level harnesses; the single-engine
-    /// driver ignores it.
+    /// faults. Consumed by network-level harnesses; host::Instance
+    /// ignores it.
     [[nodiscard]] const std::string& fault_plan_text() const { return fault_plan_text_; }
 
     /// Parses the textual script protocol (ceuc --run; docs/LANGUAGE.md):

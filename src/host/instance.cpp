@@ -83,10 +83,9 @@ Instance::~Instance() {
 // -- AOT host-api callbacks ---------------------------------------------------
 
 void Instance::push_trace_line(std::string line) {
-    // Collect, then stream: the hook and the sinks see the line after it
-    // is (optionally) in the buffer, so a sink may inspect trace().
+    // Collect, then stream: the sinks see the line after it is
+    // (optionally) in the buffer, so a sink may inspect trace().
     if (collect_trace_) trace_.push_back(line);
-    if (on_trace_line) on_trace_line(line);
     for (const OutputSink& sink : output_sinks_) sink(line);
 }
 

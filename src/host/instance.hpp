@@ -1,8 +1,9 @@
 // ceu::host::Instance — the single embedding facade for running a compiled
-// Céu program. Every in-tree host (env::Driver, wsn::CeuMote, the ceuc
-// script runner, the conformance differ, the demos and examples) routes its
-// event injection through this class; rt::Engine stays an internal detail
-// with exactly one documented construction path (this one).
+// Céu program. Every in-tree host (wsn::CeuMote, the ceuc script runner,
+// the conformance differ, the reactor, the demos, examples and tests)
+// routes its event injection through this class; rt::Engine stays an
+// internal detail with exactly one documented construction path (this
+// one).
 //
 // The facade bundles what every embedding otherwise re-plumbs by hand:
 //   - the standard C bindings (merged under host-supplied extras),
@@ -45,18 +46,18 @@ namespace ceu::host {
 
 struct Config {
     /// Scheduling / fault-trap knobs forwarded to the engine.
-    rt::EngineOptions engine;
+    rt::EngineOptions engine{};
     /// Extra C bindings merged over the standard ones (extras win on
     /// conflicts). Must outlive the Instance. May be null.
     const rt::CBindings* bindings = nullptr;
     /// Keep every trace line in memory (trace()/trace_text()). Turn off for
-    /// long-running hosts that only stream via on_trace_line.
+    /// long-running hosts that only stream via add_output_sink.
     bool collect_trace = true;
     /// Run the AOT-compiled backend: must be a handle for the *same*
     /// compiled program the Instance wraps (fingerprints are checked).
     /// Incompatible with Config::bindings (compiled code has the standard
     /// bindings baked in) — supplying both throws std::invalid_argument.
-    aot::ProgramHandle aot;
+    aot::ProgramHandle aot{};
 };
 
 class Instance {
@@ -178,10 +179,10 @@ class Instance {
 
     // -- embedder sinks -------------------------------------------------------
     //
-    // The subscription surface for non-CLI embedders (the serve layer's
-    // contract): everything a remote client may want streamed — output
-    // lines, reaction spans, status transitions — is a callback registered
-    // here, so embedders never reach into env::Driver or rt::Engine
+    // The subscription surface for embedders (the serve layer's contract,
+    // and ceuc --run's trace printer): everything a remote client may want
+    // streamed — output lines, reaction spans, status transitions — is a
+    // callback registered here, so embedders never reach into rt::Engine
     // internals. Sinks are invoked synchronously on the thread driving the
     // instance (inside the reactor: the owning shard's worker), in
     // registration order; keep them cheap and do not re-enter the instance
@@ -189,8 +190,8 @@ class Instance {
     // and AOT instances feed them identically.
 
     /// Receives every output/trace line, in emission order — the same
-    /// stream trace() collects and on_trace_line sees. Registration does
-    /// not affect collection (Config::collect_trace governs that).
+    /// stream trace() collects. Registration does not affect collection
+    /// (Config::collect_trace governs that).
     using OutputSink = std::function<void(const std::string&)>;
     void add_output_sink(OutputSink sink);
 
@@ -210,10 +211,6 @@ class Instance {
 
     // -- traces ---------------------------------------------------------------
 
-    /// Streaming hook: called once per trace line, in addition to (not
-    /// instead of) collection. Settable at any time. Prefer
-    /// add_output_sink for new embedders (it composes; this overwrites).
-    std::function<void(const std::string&)> on_trace_line;
     [[nodiscard]] const std::vector<std::string>& trace() const { return trace_; }
     [[nodiscard]] std::string trace_text() const;
     /// Appends a host-authored annotation line to the trace stream — the

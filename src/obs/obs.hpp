@@ -163,8 +163,8 @@ class Recorder {
     /// When false (default true), begin/end skip the steady-clock samples
     /// that feed wall_ns / max_reaction_wall_ns (both then stay 0). Two
     /// clock_gettime calls per reaction are ~10% of a small reaction's
-    /// cost; fleets that only want deterministic counters turn this off
-    /// (ReactorConfig::time_reactions).
+    /// cost; fleets, which only want deterministic counters, turn this off
+    /// for every member.
     void set_timing_enabled(bool on) { timing_enabled_ = on; }
 
     // -- hook surface (mirrors the cgen ceu_obs_* symbols) -------------------

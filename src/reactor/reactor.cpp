@@ -52,9 +52,8 @@ void pin_self_to_allowed_cpu(size_t idx) {
 
 Reactor::Reactor(ReactorConfig cfg)
     : cfg_(cfg), shards_(std::max<size_t>(1, cfg.workers)) {
-    stealing_ = cfg_.steal && shards_.size() > 1;
     for (Shard& sh : shards_) {
-        sh.wheel.reset(cfg_.timer_granularity, &sh.wheel_arena);
+        sh.wheel.reset(kTimerGranularity, &sh.wheel_arena);
     }
     if (shards_.size() > 1) {
         threads_.reserve(shards_.size());
@@ -112,7 +111,9 @@ InstanceId Reactor::add_slot(std::shared_ptr<const flat::CompiledProgram> cp,
     hcfg.collect_trace = cfg_.collect_traces;
     sl.inst = std::make_unique<host::Instance>(std::move(cp), hcfg);
     if (cfg_.observe_stats) sl.inst->observe_stats();
-    sl.inst->set_reaction_timing(cfg_.time_reactions);
+    // Per-reaction wall-clock sampling is two clock_gettime calls — ~10%
+    // of a small interpreted reaction — for numbers no fleet reads.
+    sl.inst->set_reaction_timing(false);
     sl.policy = cfg_.supervise;
     InstanceId id = static_cast<InstanceId>(idx);
     Shard& sh = shards_[id % shards_.size()];
@@ -305,9 +306,7 @@ void Reactor::sync_clock(Slot& sl) { sl.inst->advance_to(now_); }
 
 void Reactor::on_member_fault(InstanceId id, Slot& sl, std::vector<DeferredOp>& ops) {
     sl.sup.fault_open = true;
-    uint64_t tick = cfg_.timer_granularity > 0
-                        ? static_cast<uint64_t>(now_ / cfg_.timer_granularity)
-                        : static_cast<uint64_t>(now_);
+    uint64_t tick = static_cast<uint64_t>(now_ / kTimerGranularity);
     size_t in_window = note_fault_tick(sl.sup, sl.policy, tick);
     if (sl.policy.quarantine_after > 0 &&
         in_window >= sl.policy.quarantine_after) {
@@ -317,8 +316,8 @@ void Reactor::on_member_fault(InstanceId id, Slot& sl, std::vector<DeferredOp>& 
         return;
     }
     if (sl.policy.restart == SupervisorPolicy::Restart::Park) return;
-    Micros delay = backoff_delay_us(sl.policy, cfg_.seed, id, sl.sup.faults,
-                                    cfg_.timer_granularity);
+    Micros delay =
+        backoff_delay_us(sl.policy, cfg_.seed, id, sl.sup.faults, kTimerGranularity);
     ops.push_back({DeferredOp::Kind::Agenda, now_ + delay});
 }
 
@@ -475,10 +474,10 @@ void Reactor::run_items(Shard& sh, size_t n) {
         sh.done = std::make_unique<std::atomic<uint8_t>[]>(n);
         sh.done_cap = n;
     }
-    if (!stealing_) {
-        // Single worker (or stealing off): execute and apply per item, in
-        // order. Identical op order to the stealing path below — that
-        // equivalence is the determinism argument.
+    if (shards_.size() == 1) {
+        // Single worker: execute and apply per item, in order. Identical
+        // op order to the stealing path below — that equivalence is the
+        // determinism argument.
         for (size_t i = 0; i < n; ++i) {
             execute_item(sh, i);
             apply_ops(sh, sh.items[i].id, sh.ops[i]);
@@ -538,8 +537,13 @@ void Reactor::steal_loop(size_t self) {
 }
 
 void Reactor::run_shard_round(Shard& sh) {
-    const bool timed = cfg_.profile_phases;
-    uint64_t t0 = timed ? mono_ns() : 0;
+    // Per-phase round wall time, accumulated into fleet_stats().phase_ns.
+    uint64_t t0 = mono_ns();
+    auto lap = [&sh, &t0](size_t phase) {
+        uint64_t t1 = mono_ns();
+        sh.phase_ns[phase] += t1 - t0;
+        t0 = t1;
+    };
 
     // Phase 0: supervised restarts whose backoff expired by the fleet
     // instant, in (due, instance) order — a pure function of the fault
@@ -569,11 +573,7 @@ void Reactor::run_shard_round(Shard& sh) {
             }
         }
     }
-    if (timed) {
-        uint64_t t1 = mono_ns();
-        sh.phase_ns[0] += t1 - t0;
-        t0 = t1;
-    }
+    lap(0);
 
     // Phase 1: events. One atomic exchange empties the mailbox; tickets
     // restore per-instance injection order. The batch is grouped into one
@@ -613,11 +613,7 @@ void Reactor::run_shard_round(Shard& sh) {
         }
         run_items(sh, sh.items.size());
     }
-    if (timed) {
-        uint64_t t1 = mono_ns();
-        sh.phase_ns[1] += t1 - t0;
-        t0 = t1;
-    }
+    lap(1);
 
     // Phase 2: timers. Candidates come out sorted by (deadline, instance);
     // stale ones (engine re-armed or disarmed since indexing) reduce to a
@@ -638,11 +634,7 @@ void Reactor::run_shard_round(Shard& sh) {
             if (sl.error.empty()) sl.error = ex.what();
         }
     }
-    if (timed) {
-        uint64_t t1 = mono_ns();
-        sh.phase_ns[2] += t1 - t0;
-        t0 = t1;
-    }
+    lap(2);
 
     // Phase 3: asyncs. Every async-live member gets a bounded slice
     // allowance; the per-instance allowance is fixed per round, so an
@@ -658,9 +650,7 @@ void Reactor::run_shard_round(Shard& sh) {
         }
         run_items(sh, sh.items.size());
     }
-    if (timed) {
-        sh.phase_ns[3] += mono_ns() - t0;
-    }
+    lap(3);
 
     sh.work_left = !sh.async_live.empty() || shard_has_due_restart(sh) ||
                    (sh.wheel.next_deadline() >= 0 && sh.wheel.next_deadline() <= now_);
@@ -709,7 +699,7 @@ void Reactor::worker_main(size_t shard_idx) {
         } else {
             run_shard_round(sh);
             round_fini_.fetch_add(1, std::memory_order_acq_rel);
-            if (stealing_) steal_loop(shard_idx);
+            steal_loop(shard_idx);  // workers exist only with > 1 shard
         }
         {
             std::lock_guard<std::mutex> lk(pool_mu_);

@@ -41,6 +41,13 @@
 // shuffle fixes the intra-round visit order *per seed*, so a given
 // (seed, fleet, inputs) triple replays identically run-to-run too.
 //
+// Work stealing. With more than one worker, a worker that finishes its own
+// round helps by stealing whole-instance work items (an instance's event
+// batch, an instance's async slices) from the back of a victim shard's
+// order. Execution moves threads; the owner's bookkeeping is still applied
+// in the shard's fixed order, so traces and merged stats stay
+// byte-identical.
+//
 // Backpressure. ReactorConfig::inbox_capacity bounds each instance's
 // in-flight envelope count. An inject() over the cap is *shed*: the
 // envelope is dropped deterministically at the producer (never silently
@@ -79,6 +86,10 @@
 
 namespace ceu::reactor {
 
+/// Level-0 tick width of the per-shard fleet timer wheels; also the unit
+/// supervision backoff is measured in.
+constexpr Micros kTimerGranularity = 1024;
+
 struct ReactorConfig {
     /// Worker threads (== shards). 1 runs every round inline on the
     /// control thread — no pool, no synchronization, the baseline the
@@ -88,9 +99,6 @@ struct ReactorConfig {
     /// for boot and async slices) and the supervision backoff jitter.
     /// Same seed => same schedule and same restart instants, always.
     uint64_t seed = 0;
-    /// Level-0 tick width of the per-shard fleet timer wheels; also the
-    /// unit supervision backoff is measured in.
-    Micros timer_granularity = 1024;
     /// Forwarded to every instance's host::Config. Fleets default traces
     /// off (100k instances of trace text is not a thing you want).
     bool collect_traces = false;
@@ -103,26 +111,9 @@ struct ReactorConfig {
     /// envelope count past this is shed (InjectResult::Status::Shed).
     /// 0 = unbounded.
     uint32_t inbox_capacity = 0;
-    /// Deterministic work stealing (multi-worker only): a worker that
-    /// finishes its own round helps by stealing whole-instance work items
-    /// (an instance's event batch, an instance's async slices) from the
-    /// back of a victim shard's order. Execution moves threads; the
-    /// owner's bookkeeping is still applied in the shard's fixed order, so
-    /// traces and merged stats stay byte-identical. Off = strict shard
-    /// ownership (the pre-stealing scheduler).
-    bool steal = true;
     /// Pin worker i to the i-th CPU the process is allowed on (cpuset-
     /// aware; Linux only, ignored elsewhere and at workers == 1).
     bool pin_workers = false;
-    /// Accumulate per-phase round wall time into fleet_stats().phase_ns
-    /// (a handful of clock samples per shard round).
-    bool profile_phases = true;
-    /// Per-reaction wall-clock sampling on every member's recorder.
-    /// Fleets default off: two clock_gettime calls per reaction — ~10% of
-    /// a small interpreted reaction — for numbers the determinism suite
-    /// clears anyway. Turn on to read reactions_per_sec off a fleet
-    /// member's snapshot.
-    bool time_reactions = false;
     /// Default supervision policy for members added without set_policy().
     /// The default default is Park — identical to the pre-supervision
     /// reactor.
@@ -425,7 +416,6 @@ class Reactor {
     [[nodiscard]] bool shard_has_due_restart(const Shard& sh) const;
 
     ReactorConfig cfg_;
-    bool stealing_ = false;  // cfg.steal && workers > 1, fixed at ctor
     std::array<std::atomic<Slot*>, kMaxChunks> chunks_{};
     std::atomic<size_t> published_{0};
     std::vector<Shard> shards_;

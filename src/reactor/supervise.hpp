@@ -36,8 +36,8 @@ struct SupervisorPolicy {
     Restart restart = Restart::Park;
 
     /// Backoff before the k-th consecutive restart, in fleet-wheel ticks
-    /// (tick = ReactorConfig::timer_granularity µs): delay doubles per
-    /// fault, clamped to backoff_max_ticks.
+    /// (tick = kTimerGranularity µs): delay doubles per fault, clamped to
+    /// backoff_max_ticks.
     uint64_t backoff_initial_ticks = 1;
     uint64_t backoff_max_ticks = 64;
     /// ± jitter applied to the backoff, in permille of the clamped delay,

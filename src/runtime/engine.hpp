@@ -38,7 +38,7 @@ namespace ceu::rt {
 /// Raised on dynamic errors (unbound C symbol, bad dereference). The
 /// temporal analysis cannot rule these out — they live behind the "C hat".
 /// Carries the location and bare message separately so error paths
-/// (env::Driver, the engine's fault trap) can report structured
+/// (host::Instance::run, the engine's fault trap) can report structured
 /// diagnostics instead of a pre-formatted string.
 class RuntimeError : public std::runtime_error {
   public:

@@ -27,6 +27,8 @@ namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr char kManifestMagic[] = "CEUSRV01";
+/// Round cap for quiescing drains (Ping barriers, Detach, shutdown).
+constexpr size_t kDrainRoundCap = 1'000'000;
 
 // epoll_event.data sentinels on the control epoll (real conns carry their
 // pointer, which is always > 1).
@@ -43,6 +45,15 @@ void eventfd_drain(int fd) {
     uint64_t v;
     while (::read(fd, &v, sizeof v) > 0) {
     }
+}
+
+/// Streams a member's reaction spans into its session's pending buffer.
+void forward_spans(host::Instance& inst, SessionState* st) {
+    inst.add_span_sink([st](const obs::ReactionSpan& span) {
+        st->pending_spans.push_back({static_cast<uint8_t>(span.kind), span.seq, span.ts,
+                                     static_cast<uint32_t>(span.wakes()),
+                                     static_cast<uint32_t>(span.emits())});
+    });
 }
 
 }  // namespace
@@ -156,6 +167,22 @@ void Server::send_error(Conn* conn, const std::string& msg) {
     f.type = FrameType::Error;
     f.text = msg;
     send_frame(conn, f);
+}
+
+void Server::answer_inject(Conn* conn, const Frame& f) {
+    reactor::InstanceId member = 0;
+    Frame reply;
+    reply.type = FrameType::InjectReply;
+    reply.session = f.session;
+    if (!sessions_.lookup(f.session, member)) {
+        reply.verdict = static_cast<uint8_t>(reactor::Verdict::Retired);
+    } else {
+        reactor::InjectResult r = reactor_.inject(member, f.text, rt::Value::integer(f.value));
+        reply.verdict = static_cast<uint8_t>(r.status);
+        reply.ticket = r.ticket;
+    }
+    counters_.injects.fetch_add(1, std::memory_order_relaxed);
+    send_frame(conn, reply);
 }
 
 void Server::queue_op(Op op) {
@@ -310,25 +337,16 @@ void Server::owner_dispatch(Conn* conn, Frame&& f) {
     }
     if (f.type == FrameType::Inject &&
         conn->pending_ops.load(std::memory_order_acquire) == 0) {
-        // Fast path: ticket-ordered lock-free inject straight from the io
-        // thread. Only valid while no earlier frame from this connection
-        // still waits on the control thread (order preservation).
-        reactor::InstanceId member = 0;
-        Frame reply;
-        reply.type = FrameType::InjectReply;
-        reply.session = f.session;
-        if (!sessions_.lookup(f.session, member)) {
-            reply.verdict = static_cast<uint8_t>(reactor::Verdict::Retired);
-        } else {
-            reactor::InjectResult r =
-                reactor_.inject(member, f.text, rt::Value::integer(f.value));
-            reply.verdict = static_cast<uint8_t>(r.status);
-            reply.ticket = r.ticket;
-        }
-        counters_.injects.fetch_add(1, std::memory_order_relaxed);
-        send_frame(conn, reply);
+        // Fast path: ticket-ordered lock-free inject straight from the
+        // owner thread. Only valid while no earlier frame from this
+        // connection still waits on the control thread (order preservation).
+        answer_inject(conn, f);
         owner_flush(conn);
-        kick_control();  // there is work to round-schedule now
+        // There is work to round-schedule now. The control thread kicks
+        // itself too: serve-inject runs without this self-kick measured up
+        // to 1.3x the inject->Output p90 on a 4-vCPU VM (other sets showed
+        // no difference); the cause is not established, so it stays.
+        kick_control();
         return;
     }
     conn->pending_ops.fetch_add(1, std::memory_order_acq_rel);
@@ -493,24 +511,10 @@ void Server::handle_frame_op(Conn* conn, const Frame& f) {
         case FrameType::Open:
             handle_open(conn, f);
             break;
-        case FrameType::Inject: {
+        case FrameType::Inject:
             // Queued because a control op was in flight ahead of it.
-            reactor::InstanceId member = 0;
-            Frame reply;
-            reply.type = FrameType::InjectReply;
-            reply.session = f.session;
-            if (!sessions_.lookup(f.session, member)) {
-                reply.verdict = static_cast<uint8_t>(reactor::Verdict::Retired);
-            } else {
-                reactor::InjectResult r =
-                    reactor_.inject(member, f.text, rt::Value::integer(f.value));
-                reply.verdict = static_cast<uint8_t>(r.status);
-                reply.ticket = r.ticket;
-            }
-            counters_.injects.fetch_add(1, std::memory_order_relaxed);
-            send_frame(conn, reply);
+            answer_inject(conn, f);
             break;
-        }
         case FrameType::Advance: {
             // Deliver what is already queued at the *current* instant first:
             // "inject then advance" must not teleport the inject into the
@@ -598,14 +602,7 @@ SessionState* Server::create_session(Conn* conn, const Registry::Entry& entry,
     inst.add_status_sink([raw](rt::Engine::Status s) {
         raw->pending_status.push_back(static_cast<uint8_t>(s));
     });
-    if (raw->want_spans) {
-        inst.add_span_sink([raw](const obs::ReactionSpan& span) {
-            raw->pending_spans.push_back({static_cast<uint8_t>(span.kind),
-                                          span.seq, span.ts,
-                                          static_cast<uint32_t>(span.wakes()),
-                                          static_cast<uint32_t>(span.emits())});
-        });
-    }
+    if (raw->want_spans) forward_spans(inst, raw);
     if (blob == nullptr) reactor_.boot();  // boot streams through the sinks
 
     SessionId id;
@@ -653,14 +650,7 @@ void Server::handle_resume(Conn* conn, const Frame& f) {
             live->conn_fd = conn->fd;
             if (conn->want_spans && !live->want_spans) {
                 live->want_spans = true;
-                SessionState* raw = live;
-                reactor_.instance(live->member)
-                    .add_span_sink([raw](const obs::ReactionSpan& span) {
-                        raw->pending_spans.push_back(
-                            {static_cast<uint8_t>(span.kind), span.seq, span.ts,
-                             static_cast<uint32_t>(span.wakes()),
-                             static_cast<uint32_t>(span.emits())});
-                    });
+                forward_spans(reactor_.instance(live->member), live);
             }
             conn->sessions.push_back(f.session);
             counters_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
@@ -755,7 +745,7 @@ void Server::handle_close_session(Conn* conn, const Frame& f) {
 
 void Server::quiesce() {
     size_t rounds = 0;
-    while (reactor_.work_pending() && rounds < cfg_.drain_round_cap) {
+    while (reactor_.work_pending() && rounds < kDrainRoundCap) {
         reactor_.run_round();
         ++rounds;
     }
@@ -837,7 +827,7 @@ void Server::drop_conn(Conn* conn) {
 
 void Server::drain_to_disk() {
     std::vector<reactor::Reactor::DrainedMember> members =
-        reactor_.drain_and_checkpoint(cfg_.drain_round_cap);
+        reactor_.drain_and_checkpoint(kDrainRoundCap);
     harvest_sessions();
     if (cfg_.drain_dir.empty()) return;
     std::error_code ec;

@@ -71,8 +71,6 @@ struct ServerConfig {
     std::string drain_dir;
     /// Where to look for a previous drain's MANIFEST at startup.
     std::string resume_dir;
-    /// Round cap for quiescing drains (Ping barriers, Detach, shutdown).
-    size_t drain_round_cap = 1'000'000;
 };
 
 /// Monotonic service counters (relaxed atomics; bench/tools sample them).
@@ -191,6 +189,9 @@ class Server {
     // -- helpers ---------------------------------------------------------------
     void send_frame(Conn* conn, const Frame& f);  ///< outbox append (any thread)
     void send_error(Conn* conn, const std::string& msg);
+    /// Injects an Inject frame into its session's member and queues the
+    /// InjectReply (verdict + ticket). Owner or control thread.
+    void answer_inject(Conn* conn, const Frame& f);
     static void set_nonblocking(int fd);
 
     Registry registry_;

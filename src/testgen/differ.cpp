@@ -139,10 +139,8 @@ CgenRun run_cgen(const flat::CompiledProgram& cp, const std::string& script,
     std::ifstream f(out_path);
     std::string line;
     while (std::getline(f, line)) out.lines.push_back(line);
-    if (!opt.keep_artifacts) {
-        for (const std::string& p : {c_path, bin_path, in_path, out_path, err_path}) {
-            ::unlink(p.c_str());
-        }
+    for (const std::string& p : {c_path, bin_path, in_path, out_path, err_path}) {
+        ::unlink(p.c_str());
     }
     return out;
 }
@@ -171,7 +169,6 @@ AotRun run_aot(const std::shared_ptr<const flat::CompiledProgram>& cp,
     aot::BuildOptions bopt;
     bopt.cc = opt.aot_cc;
     bopt.work_dir = opt.workdir;
-    bopt.keep_artifacts = opt.keep_artifacts;
     std::string err;
     aot::ProgramHandle h = aot::FleetImage::build_one(cp, bopt, &err);
     if (!h) {
@@ -346,16 +343,14 @@ DiffResult run_differential(const std::string& source, const env::Script& script
     const bool verdict_ok = d.deterministic() && d.complete();
     const bool verdict_unknown = d.deterministic() && !d.complete();
 
-    if (opt.check_modular) {
-        analysis::ModularOptions mopt;
-        mopt.explore.max_states = opt.max_states;
-        analysis::ModularOutcome mo = analysis::explore_modular(cp, mopt);
-        std::string mismatch = modular_mismatch(d, mo);
-        if (!mismatch.empty()) {
-            res.kind = DiffResult::Kind::ModularDiverged;
-            res.detail = mismatch;
-            return res;
-        }
+    analysis::ModularOptions mopt;
+    mopt.explore.max_states = opt.max_states;
+    analysis::ModularOutcome mo = analysis::explore_modular(cp, mopt);
+    std::string mismatch = modular_mismatch(d, mo);
+    if (!mismatch.empty()) {
+        res.kind = DiffResult::Kind::ModularDiverged;
+        res.detail = mismatch;
+        return res;
     }
 
     InterpRun fifo = run_interp(cp, script, rt::EngineOptions::TieBreak::Fifo);
@@ -526,7 +521,7 @@ TraceRun cgen_chrome_trace(const std::string& source, const env::Script& script,
     out.trace = ss.str();
     out.ok = f.good() || !out.trace.empty();
     if (!out.ok) out.error = "compiled program produced no trace file";
-    if (!opt.keep_artifacts) ::unlink(trace_path.c_str());
+    ::unlink(trace_path.c_str());
     return out;
 }
 

@@ -11,7 +11,9 @@
 //     host-api trace routing, fleet timer wheel indexing) in-process,
 //
 // and the observable traces are compared against what the temporal
-// analysis (dfa/) promised. The conformance contract (paper §2.6) is:
+// analysis (dfa/) promised. The modular partition-and-compose verdict is
+// cross-checked against the monolithic DFA first (same conflicts modulo
+// witness choice). The conformance contract (paper §2.6) is:
 //
 //   DFA says OK (deterministic, exploration complete)
 //       -> all three executions produce identical traces, results and
@@ -45,11 +47,6 @@ struct DiffOptions {
     /// Skip the compile-and-run C leg entirely (DFA + tie-break only);
     /// used by quick smoke modes where spawning a compiler is too slow.
     bool run_cgen = true;
-    /// Keep the generated artifacts on disk even when the case agrees.
-    bool keep_artifacts = false;
-    /// Cross-check the modular partition-and-compose analysis against the
-    /// monolithic DFA verdict (same conflicts modulo witness choice).
-    bool check_modular = true;
     /// Cross-check the AOT backend (re-entrant cgen → .so → dlopen) driven
     /// through a 1-member reactor against the interpreter FIFO trace.
     /// Skipped (like the classic C leg) when run_cgen is off — both legs

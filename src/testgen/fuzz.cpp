@@ -33,7 +33,7 @@ FuzzReport run_fuzz(const FuzzOptions& opt,
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < opt.count; ++i) {
         uint64_t seed = opt.seed + static_cast<uint64_t>(i);
-        GenCase gc = generate(seed, opt.gen);
+        GenCase gc = generate(seed);
         DiffResult r = run_differential(gc.source, gc.script, opt.diff);
         ++rep.total;
         switch (r.kind) {
@@ -59,9 +59,7 @@ FuzzReport run_fuzz(const FuzzOptions& opt,
         fail.source = gc.source;
         fail.script_text = gc.script_text;
         if (opt.shrink_failures) {
-            ShrinkOptions sopt = opt.shrink;
-            sopt.diff = opt.diff;
-            ShrinkResult s = shrink(gc.source, gc.script, r.kind, sopt);
+            ShrinkResult s = shrink(gc.source, gc.script, r.kind, opt.diff);
             fail.source = s.source;
             fail.script_text = s.script_text;
         }

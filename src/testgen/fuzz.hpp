@@ -1,5 +1,5 @@
 // The fuzz loop: generate -> differential-check -> (on failure) shrink ->
-// persist. This is what `ceuc --gen-fuzz N --seed S` and the conformance
+// persist. This is what `ceuc --gen.fuzz N --gen.seed S` and the conformance
 // ctest shards drive; the nightly CI sweep is the same loop with a larger
 // seed range and a corpus directory for artifacts.
 #pragma once
@@ -18,11 +18,9 @@ namespace ceu::testgen {
 struct FuzzOptions {
     uint64_t seed = 0;  // first seed; cases use seed, seed+1, ...
     int count = 100;
-    GenOptions gen;
     DiffOptions diff;
     /// Shrink failing cases before reporting (costs extra differ runs).
     bool shrink_failures = true;
-    ShrinkOptions shrink;
     /// When non-empty, shrunk failures are written here as corpus files.
     std::string corpus_dir;
 };

@@ -13,6 +13,20 @@ namespace {
 
 const SourceLoc kLoc{};  // generated nodes carry no source position
 
+// -- shape budgets (every seed draws within these) --------------------------
+
+constexpr int kMaxWorkers = 3;     // parallel worker trails (plus the observer)
+constexpr int kMaxVars = 5;
+constexpr int kMaxInputs = 3;      // not counting the reserved Obs event
+constexpr int kMaxInternals = 3;
+constexpr int kMaxDepth = 3;       // loop/par/if nesting inside a worker
+constexpr int kMaxSeqLen = 5;      // statements per generated sequence
+constexpr int kScriptLen = 20;     // approximate input-script length
+constexpr int kConflictPermille = 200;     // share resources across workers on purpose
+constexpr int kAsyncPermille = 180;        // workers that spawn an async block
+constexpr int kTerminatorPermille = 300;   // add a timed `return` branch
+constexpr int kWorkerPrintPermille = 350;  // the chosen printer worker really prints
+
 // -- AST builders ------------------------------------------------------------
 
 ExprPtr num(int64_t v) { return std::make_unique<NumExpr>(v, kLoc); }
@@ -91,7 +105,7 @@ const std::vector<Micros> kAdvancePool = {
 
 class Generator {
   public:
-    Generator(uint64_t seed, const GenOptions& opt) : rng_(seed), opt_(opt), seed_(seed) {}
+    explicit Generator(uint64_t seed) : rng_(seed), seed_(seed) {}
 
     GenCase run() {
         GenCase out;
@@ -108,7 +122,6 @@ class Generator {
 
   private:
     Rng rng_;
-    GenOptions opt_;
     uint64_t seed_;
 
     std::vector<std::string> inputs_;       // not counting Obs
@@ -125,16 +138,16 @@ class Generator {
     // -- planning: names and resource ownership ------------------------------
 
     void plan() {
-        int n_inputs = rng_.range(1, opt_.max_inputs);
-        int n_int_v = rng_.range(0, opt_.max_internals);
-        int n_int_i = rng_.range(0, std::max(0, opt_.max_internals - n_int_v));
-        int n_vars = rng_.range(1, opt_.max_vars);
-        n_workers_ = rng_.range(1, opt_.max_workers);
+        int n_inputs = rng_.range(1, kMaxInputs);
+        int n_int_v = rng_.range(0, kMaxInternals);
+        int n_int_i = rng_.range(0, std::max(0, kMaxInternals - n_int_v));
+        int n_vars = rng_.range(1, kMaxVars);
+        n_workers_ = rng_.range(1, kMaxWorkers);
         for (int i = 0; i < n_inputs; ++i) inputs_.push_back("I" + std::to_string(i));
         for (int i = 0; i < n_int_v; ++i) internals_v_.push_back("e" + std::to_string(i));
         for (int i = 0; i < n_int_i; ++i) internals_i_.push_back("x" + std::to_string(i));
         for (int i = 0; i < n_vars; ++i) vars_.push_back("v" + std::to_string(i));
-        terminator_ = rng_.chance(opt_.terminator_permille);
+        terminator_ = rng_.chance(kTerminatorPermille);
 
         worker_ctx_.assign(static_cast<size_t>(n_workers_), Ctx{});
         // Partition ownership: each resource goes to one worker; with
@@ -143,7 +156,7 @@ class Generator {
         auto deal = [&](const std::string& name, auto member) {
             Ctx& owner = worker_ctx_[static_cast<size_t>(rng_.range(0, n_workers_ - 1))];
             (owner.*member).push_back(name);
-            if (n_workers_ > 1 && rng_.chance(opt_.conflict_permille)) {
+            if (n_workers_ > 1 && rng_.chance(kConflictPermille)) {
                 Ctx& other =
                     worker_ctx_[static_cast<size_t>(rng_.range(0, n_workers_ - 1))];
                 if (&other != &owner) {
@@ -160,12 +173,12 @@ class Generator {
             c.emit_v = internals_v_;
             c.emit_i = internals_i_;
             c.rvars = c.wvars;  // reads stay write-local: see generator.hpp
-            c.may_async = rng_.chance(opt_.async_permille);
+            c.may_async = rng_.chance(kAsyncPermille);
             has_async_ = has_async_ || c.may_async;
         }
         // Exactly one worker gets print rights (its prints can never run
         // concurrently with the observer's — different triggers).
-        if (rng_.chance(opt_.worker_print_permille)) {
+        if (rng_.chance(kWorkerPrintPermille)) {
             worker_ctx_[static_cast<size_t>(rng_.range(0, n_workers_ - 1))].may_print =
                 true;
         }
@@ -279,7 +292,7 @@ class Generator {
         // The body starts with an unconditional await, so every path through
         // it suspends — the §2.5 rule holds by construction and any `break`
         // after it is non-instantaneous.
-        gen_seq(s->body, inner, rng_.range(1, opt_.max_seq_len - 1), /*lead_await=*/true);
+        gen_seq(s->body, inner, rng_.range(1, kMaxSeqLen - 1), /*lead_await=*/true);
         if (rng_.chance(250)) {
             if (rng_.chance(500)) {
                 auto g = std::make_unique<IfStmt>(kLoc);
@@ -399,8 +412,8 @@ class Generator {
         if (!c.emit_v.empty() || !c.emit_i.empty()) table.push_back({18, Emit});
         table.push_back({24, Await});
         if (!c.rvars.empty()) table.push_back({10, If});
-        if (c.depth < opt_.max_depth) table.push_back({7, Loop});
-        if (c.depth + 1 < opt_.max_depth && c.has_event()) table.push_back({5, Par});
+        if (c.depth < kMaxDepth) table.push_back({7, Loop});
+        if (c.depth + 1 < kMaxDepth && c.has_event()) table.push_back({5, Par});
         if (!c.wvars.empty()) table.push_back({3, ValuePar});
         if (c.may_async && !c.wvars.empty()) table.push_back({3, Async});
         if (c.may_print) table.push_back({6, Print});
@@ -432,7 +445,7 @@ class Generator {
         // Workers open with an await so their bodies never run in the boot
         // reaction (all workers boot concurrently).
         bool lead = !biased_ || rng_.chance(800);
-        gen_seq(out, c, rng_.range(1, opt_.max_seq_len), lead);
+        gen_seq(out, c, rng_.range(1, kMaxSeqLen), lead);
         // Keep the trail alive: most workers loop forever over their events.
         if (rng_.chance(700)) {
             auto loop = std::make_unique<LoopStmt>(kLoc);
@@ -518,7 +531,7 @@ class Generator {
         env::Script s;
         std::vector<std::string> all_inputs = inputs_;
         all_inputs.push_back("Obs");
-        int len = rng_.range(opt_.script_len / 2, opt_.script_len);
+        int len = rng_.range(kScriptLen / 2, kScriptLen);
         for (int i = 0; i < len; ++i) {
             int roll = rng_.range(0, 99);
             if (roll < 40) {
@@ -539,9 +552,7 @@ class Generator {
 
 }  // namespace
 
-GenCase generate(uint64_t seed, const GenOptions& opt) {
-    return Generator(seed, opt).run();
-}
+GenCase generate(uint64_t seed) { return Generator(seed).run(); }
 
 TimingChain timing_chain(uint64_t seed, int max_segments) {
     Rng rng(seed * 0x51ed270b + 17);

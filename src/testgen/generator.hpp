@@ -9,7 +9,7 @@
 //    almost every program DFA-refused);
 //  * workers own disjoint input events, internal-event await-rights and
 //    write-variable sets, so the only sources of concurrency are timer
-//    collisions — unless `conflict_permille` deliberately shares resources
+//    collisions — unless the conflict bias deliberately shares resources
 //    to exercise the refusal path;
 //  * a dedicated observer trail snapshots every variable on a reserved
 //    `Obs` input, giving each program rich observable output without
@@ -32,20 +32,6 @@
 
 namespace ceu::testgen {
 
-struct GenOptions {
-    int max_workers = 3;        // parallel worker trails (plus the observer)
-    int max_vars = 5;
-    int max_inputs = 3;         // not counting the reserved Obs event
-    int max_internals = 3;
-    int max_depth = 3;          // loop/par/if nesting inside a worker
-    int max_seq_len = 5;        // statements per generated sequence
-    int script_len = 20;        // approximate input-script length
-    int conflict_permille = 200;    // share resources across workers on purpose
-    int async_permille = 180;       // workers that spawn an async block
-    int terminator_permille = 300;  // add a timed `return` branch
-    int worker_print_permille = 350;  // the chosen printer worker really prints
-};
-
 struct GenCase {
     uint64_t seed = 0;
     ast::Program program;       // the generated AST; `source` is its rendering
@@ -57,7 +43,7 @@ struct GenCase {
 };
 
 /// Generates one program + script pair from `seed`.
-GenCase generate(uint64_t seed, const GenOptions& opt = {});
+GenCase generate(uint64_t seed);
 
 /// A straight-line await-time chain with known segment durations, for the
 /// §2.4 residual-delta tests: prints one line per segment, terminates with

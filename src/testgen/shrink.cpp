@@ -10,6 +10,10 @@
 namespace ceu::testgen {
 namespace {
 
+/// Upper bound on oracle invocations (each one may spawn the host C
+/// compiler, so this is the shrink-time budget).
+constexpr int kMaxAttempts = 400;
+
 // Program mutations are addressed by a flat index assigned during a fixed
 // pre-order traversal, so "try mutation k of the current best program" is
 // well-defined without holding pointers across re-parses.
@@ -160,7 +164,7 @@ env::Script script_from_items(const std::vector<env::ScriptItem>& items) {
 }  // namespace
 
 ShrinkResult shrink(const std::string& source, const env::Script& script,
-                    DiffResult::Kind kind, const ShrinkOptions& opt) {
+                    DiffResult::Kind kind, const DiffOptions& opt) {
     ShrinkResult out;
     out.source = source;
     out.script = script;
@@ -168,7 +172,7 @@ ShrinkResult shrink(const std::string& source, const env::Script& script,
 
     auto oracle = [&](const std::string& src, const env::Script& scr) {
         ++out.attempts;
-        return run_differential(src, scr, opt.diff).kind == kind;
+        return run_differential(src, scr, opt).kind == kind;
     };
 
     // Sanity: the input must actually reproduce. (Also catches flaky
@@ -179,13 +183,13 @@ ShrinkResult shrink(const std::string& source, const env::Script& script,
     }
 
     bool progress = true;
-    while (progress && out.attempts < opt.max_attempts) {
+    while (progress && out.attempts < kMaxAttempts) {
         progress = false;
 
         // Script ddmin: drop chunks, halving the chunk size down to 1.
         std::vector<env::ScriptItem> items = out.script.items();
         for (size_t chunk = std::max<size_t>(items.size() / 2, 1); chunk >= 1; chunk /= 2) {
-            for (size_t at = 0; at + chunk <= items.size() && out.attempts < opt.max_attempts;) {
+            for (size_t at = 0; at + chunk <= items.size() && out.attempts < kMaxAttempts;) {
                 std::vector<env::ScriptItem> cand(items.begin(),
                                                   items.begin() + static_cast<long>(at));
                 cand.insert(cand.end(), items.begin() + static_cast<long>(at + chunk),
@@ -205,7 +209,7 @@ ShrinkResult shrink(const std::string& source, const env::Script& script,
 
         // Program mutations, first-to-last; restart from 0 after a hit so
         // indices stay aligned with the (new) current best.
-        for (int k = 0; out.attempts < opt.max_attempts;) {
+        for (int k = 0; out.attempts < kMaxAttempts;) {
             bool in_range = false;
             std::string cand = apply_mutation(out.source, k, &in_range);
             if (!in_range) break;

@@ -23,13 +23,6 @@
 
 namespace ceu::testgen {
 
-struct ShrinkOptions {
-    /// Upper bound on oracle invocations (each one may spawn the host C
-    /// compiler, so this is the shrink-time budget).
-    int max_attempts = 400;
-    DiffOptions diff;
-};
-
 struct ShrinkResult {
     std::string source;       // minimized program
     env::Script script;       // minimized script
@@ -40,10 +33,11 @@ struct ShrinkResult {
     int removed_items = 0;    // successful script reductions
 };
 
-/// Minimizes `source`+`script`. `kind` must be the failure the pair
-/// exhibits (the caller already ran the differ). If the pair does not
-/// actually reproduce `kind`, it is returned unshrunk.
+/// Minimizes `source`+`script`, re-running the differ under `opt`. `kind`
+/// must be the failure the pair exhibits (the caller already ran the
+/// differ). If the pair does not actually reproduce `kind`, it is returned
+/// unshrunk.
 ShrinkResult shrink(const std::string& source, const env::Script& script,
-                    DiffResult::Kind kind, const ShrinkOptions& opt = {});
+                    DiffResult::Kind kind, const DiffOptions& opt = {});
 
 }  // namespace ceu::testgen

@@ -35,9 +35,7 @@
 //                                 instead of booting, then run the script
 //                                 as a continuation
 //
-// Analysis options (dotted keys are canonical; the historical
-// --analysis-jobs, --max-states, --strict and --fail-fast spellings still
-// work but print a one-line deprecation warning):
+// Analysis options:
 //   --analysis.jobs N             explore the DFA with N worker threads
 //   --analysis.max-states N       state budget (default 20000)
 //   --analysis.strict             incomplete analysis => exit 1
@@ -50,10 +48,9 @@
 //   --analysis.cache-dir DIR      persistent module-DFA cache keyed by
 //                                 content hash (implies --analysis.modular):
 //                                 repeat runs re-explore only changed
-//                                 modules. --cache-dir is the deprecated
-//                                 spelling.
+//                                 modules.
 //
-// Fuzz options (dotted keys are canonical; --fuzz-out etc. are deprecated):
+// Fuzz options:
 //   --fuzz.out DIR                write shrunk failures to DIR as corpus
 //                                 files (default: report only)
 //   --fuzz.cc CMD                 host C compiler command (default
@@ -274,6 +271,7 @@ int run_program(flat::CompiledProgram cp_in, const std::string& path,
     // is what the exit contract and --diag-format=json report from.
     host::Config hcfg;
     hcfg.engine.trap_faults = true;
+    hcfg.collect_trace = false;  // streamed to stdout below, never read back
     if (ropt.backend != RunBackend::Interp) {
         aot::BuildOptions bopt;
         if (!ropt.aot_cc.empty()) bopt.cc = ropt.aot_cc;
@@ -292,9 +290,7 @@ int run_program(flat::CompiledProgram cp_in, const std::string& path,
         }
     }
     host::Instance inst(cp, hcfg);
-    inst.on_trace_line = [](const std::string& line) {
-        std::printf("%s\n", line.c_str());
-    };
+    inst.add_output_sink([](const std::string& line) { std::printf("%s\n", line.c_str()); });
     obs::ChromeTraceSink trace_sink;
     if (!ropt.trace_path.empty()) inst.add_sink(&trace_sink);
     if (!ropt.stats_path.empty()) inst.observe_stats();
@@ -390,52 +386,6 @@ int run_program(flat::CompiledProgram cp_in, const std::string& path,
     return 0;
 }
 
-/// The dotted spellings are canonical; the historical un-dotted names are
-/// deprecated aliases. The parser matches the internal (historical) names,
-/// so dotted spellings are rewritten onto them — and a legacy spelling on
-/// the command line earns a one-line deprecation warning, once per flag.
-struct FlagAlias {
-    const char* dotted;  ///< canonical, what --help prints
-    const char* legacy;  ///< internal/parser name, deprecated on the CLI
-    bool warned = false;
-};
-
-FlagAlias g_aliases[] = {
-    {"--fuzz.out", "--fuzz-out"},
-    {"--fuzz.cc", "--fuzz-cc"},
-    {"--fuzz.no-cgen", "--fuzz-no-cgen"},
-    {"--fuzz.no-shrink", "--fuzz-no-shrink"},
-    {"--analysis.jobs", "--analysis-jobs"},
-    {"--analysis.max-states", "--max-states"},
-    {"--analysis.strict", "--strict"},
-    {"--analysis.fail-fast", "--fail-fast"},
-    {"--analysis.modular", "--modular"},
-    {"--analysis.cache-dir", "--cache-dir"},
-    {"--gen.fuzz", "--gen-fuzz"},
-    {"--gen.dump", "--gen-dump"},
-    {"--gen.seed", "--seed"},
-};
-
-std::string canonical_arg(const std::string& a) {
-    for (FlagAlias& al : g_aliases) {
-        if (a == al.dotted) return al.legacy;
-        std::string dotted_eq = std::string(al.dotted) + "=";
-        if (a.rfind(dotted_eq, 0) == 0)
-            return std::string(al.legacy) + "=" + a.substr(dotted_eq.size());
-        std::string legacy_eq = std::string(al.legacy) + "=";
-        if (a == al.legacy || a.rfind(legacy_eq, 0) == 0) {
-            if (!al.warned) {
-                al.warned = true;
-                std::fprintf(stderr,
-                             "ceuc: warning: %s is deprecated; use %s\n",
-                             al.legacy, al.dotted);
-            }
-            return a;
-        }
-    }
-    return a;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -472,7 +422,7 @@ int main(int argc, char** argv) {
     };
 
     for (int i = 1; i < argc; ++i) {
-        std::string a = canonical_arg(argv[i]);
+        std::string a = argv[i];
         std::string v;
         if (a == "--run") mode = Mode::Run;
         else if (a == "--emit-c") mode = Mode::EmitC;
@@ -482,67 +432,63 @@ int main(int argc, char** argv) {
         else if (a == "--lint") mode = Mode::Lint;
         else if (a == "--explain") mode = Mode::Explain;
         else if (a == "--no-analysis") analysis = false;
-        else if (a == "--strict") strict = true;
-        else if (a == "--fail-fast") eopt.stop_at_first_conflict = true;
-        else if (a == "--modular") modular = true;
-        else if (a.rfind("--cache-dir", 0) == 0 && value_of(a, "--cache-dir", i, &v)) {
+        else if (a == "--analysis.strict") strict = true;
+        else if (a == "--analysis.fail-fast") eopt.stop_at_first_conflict = true;
+        else if (a == "--analysis.modular") modular = true;
+        else if (value_of(a, "--analysis.cache-dir", i, &v)) {
             if (v.empty()) return usage();
             cache_dir = v;
             modular = true;  // a cache only makes sense for modular verdicts
         }
-        else if (a.rfind("--analysis-jobs", 0) == 0 &&
-                 value_of(a, "--analysis-jobs", i, &v)) {
+        else if (value_of(a, "--analysis.jobs", i, &v)) {
             eopt.jobs = std::max(1, std::atoi(v.c_str()));
-        } else if (a.rfind("--max-states", 0) == 0 && value_of(a, "--max-states", i, &v)) {
+        } else if (value_of(a, "--analysis.max-states", i, &v)) {
             long n = std::atol(v.c_str());
             if (n <= 0) return usage();
             eopt.max_states = static_cast<size_t>(n);
-        } else if (a.rfind("--diag-format", 0) == 0 &&
-                   value_of(a, "--diag-format", i, &v)) {
+        } else if (value_of(a, "--diag-format", i, &v)) {
             if (v == "json") json = true;
             else if (v == "text") json = false;
             else return usage();
-        } else if (a.rfind("--trace", 0) == 0 && value_of(a, "--trace", i, &v)) {
+        } else if (value_of(a, "--trace", i, &v)) {
             if (v.empty()) return usage();
             ropt.trace_path = v;
-        } else if (a.rfind("--stats", 0) == 0 && value_of(a, "--stats", i, &v)) {
+        } else if (value_of(a, "--stats", i, &v)) {
             if (v.empty()) return usage();
             ropt.stats_path = v;
-        } else if (a.rfind("--checkpoint", 0) == 0 &&
-                   value_of(a, "--checkpoint", i, &v)) {
+        } else if (value_of(a, "--checkpoint", i, &v)) {
             if (v.empty()) return usage();
             ropt.checkpoint_path = v;
-        } else if (a.rfind("--restore", 0) == 0 && value_of(a, "--restore", i, &v)) {
+        } else if (value_of(a, "--restore", i, &v)) {
             if (v.empty()) return usage();
             ropt.restore_path = v;
-        } else if (a.rfind("--backend", 0) == 0 && value_of(a, "--backend", i, &v)) {
+        } else if (value_of(a, "--backend", i, &v)) {
             if (v == "interp") ropt.backend = RunBackend::Interp;
             else if (v == "aot") ropt.backend = RunBackend::Aot;
             else if (v == "mixed") ropt.backend = RunBackend::Mixed;
             else return usage();
-        } else if (a.rfind("--aot-cc", 0) == 0 && value_of(a, "--aot-cc", i, &v)) {
+        } else if (value_of(a, "--aot-cc", i, &v)) {
             if (v.empty()) return usage();
             ropt.aot_cc = v;
             fopt.diff.aot_cc = v;
-        } else if (a.rfind("--lint-only", 0) == 0 && value_of(a, "--lint-only", i, &v)) {
+        } else if (value_of(a, "--lint-only", i, &v)) {
             lopt.only = split_ids(v);
-        } else if (a.rfind("--lint-disable", 0) == 0 &&
-                   value_of(a, "--lint-disable", i, &v)) {
+        } else if (value_of(a, "--lint-disable", i, &v)) {
             lopt.disable = split_ids(v);
-        } else if (a.rfind("--gen-fuzz", 0) == 0 && value_of(a, "--gen-fuzz", i, &v)) {
+        } else if (value_of(a, "--gen.fuzz", i, &v)) {
             gen_fuzz_count = std::atol(v.c_str());
             if (gen_fuzz_count <= 0) return usage();
-        } else if (a == "--gen-dump") {
+        } else if (a == "--gen.dump") {
             gen_dump = true;
-        } else if (a.rfind("--seed", 0) == 0 && value_of(a, "--seed", i, &v)) {
+        } else if (value_of(a, "--gen.seed", i, &v)) {
             gen_seed = std::strtoull(v.c_str(), nullptr, 10);
-        } else if (a.rfind("--fuzz-out", 0) == 0 && value_of(a, "--fuzz-out", i, &v)) {
+        } else if (value_of(a, "--fuzz.out", i, &v)) {
             fopt.corpus_dir = v;
-        } else if (a.rfind("--fuzz-cc", 0) == 0 && value_of(a, "--fuzz-cc", i, &v)) {
+        } else if (value_of(a, "--fuzz.cc", i, &v)) {
             fopt.diff.cc = v;
-        } else if (a == "--fuzz-no-cgen") {
+        } else if (a == "--fuzz.no-cgen") {
             fopt.diff.run_cgen = false;
-        } else if (a == "--fuzz-no-shrink") {
+        } else if (a == "--fuzz.no-shrink") {
             fopt.shrink_failures = false;
         }
         else if (a == "--help" || a == "-h") return usage();
@@ -588,7 +534,8 @@ int main(int argc, char** argv) {
         if (analysis) {
             // One verdict feeds every mode below, whichever engine computed
             // it: monolithic product-space exploration or the modular
-            // partition-and-compose path (--analysis.modular / --cache-dir).
+            // partition-and-compose path (--analysis.modular /
+            // --analysis.cache-dir).
             bool complete = true;
             std::vector<dfa::Conflict> conflicts;
             size_t states = 0;
@@ -736,8 +683,8 @@ int main(int argc, char** argv) {
                              "--analysis.max-states=%zu); determinism NOT proven\n",
                              states, eopt.max_states);
                 if (strict) {
-                    std::fprintf(stderr, "error: --strict: refusing incompletely "
-                                         "analyzed program\n");
+                    std::fprintf(stderr, "error: --analysis.strict: refusing "
+                                         "incompletely analyzed program\n");
                     return 1;
                 }
             }

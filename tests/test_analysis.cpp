@@ -17,7 +17,7 @@
 #include "codegen/flatten.hpp"
 #include "demos/demos.hpp"
 #include "dfa/dfa.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 
 namespace ceu {
 namespace {
@@ -236,7 +236,7 @@ TEST(Witness, ReplayDrivesTheRuntimeIntoTheConflictingReaction) {
     ASSERT_FALSE(d.conflicts().empty());
     env::Script script = analysis::witness_script(d.conflicts().front().witness);
 
-    env::Driver driver(cp);
+    host::Instance driver(cp);
     driver.boot();
     ASSERT_FALSE(script.items().empty());
     // Feed everything but the last input, then observe what the final
@@ -512,7 +512,7 @@ CliResult run_ceuc(const std::string& args, const std::string& program,
 }
 
 TEST(CliAnalysis, IncompleteAnalysisWarnsAndStaysHonest) {
-    CliResult r = run_ceuc("--max-states 4", kFigure2);
+    CliResult r = run_ceuc("--analysis.max-states 4", kFigure2);
     EXPECT_EQ(r.exit_code, 0) << r.err;
     EXPECT_NE(r.err.find("warning: temporal analysis incomplete (state budget "
                          "exhausted"),
@@ -523,11 +523,11 @@ TEST(CliAnalysis, IncompleteAnalysisWarnsAndStaysHonest) {
 }
 
 TEST(CliAnalysis, StrictTurnsIncompleteIntoFailure) {
-    CliResult r = run_ceuc("--strict --max-states 4", kFigure2);
+    CliResult r = run_ceuc("--analysis.strict --analysis.max-states 4", kFigure2);
     EXPECT_EQ(r.exit_code, 1);
-    EXPECT_NE(r.err.find("--strict"), std::string::npos) << r.err;
-    // A complete analysis is unaffected by --strict.
-    CliResult ok = run_ceuc("--strict", "input void A; await A;");
+    EXPECT_NE(r.err.find("--analysis.strict"), std::string::npos) << r.err;
+    // A complete analysis is unaffected by --analysis.strict.
+    CliResult ok = run_ceuc("--analysis.strict", "input void A; await A;");
     EXPECT_EQ(ok.exit_code, 0) << ok.err;
 }
 
@@ -539,16 +539,16 @@ TEST(CliAnalysis, AnalysisJobsMatchesSerialVerdict) {
     EXPECT_EQ(serial.err, par.err);
 }
 
-TEST(CliAnalysis, LegacyFlagWarnsButStillWorks) {
-    // Un-dotted spellings stay accepted, but each one points at its dotted
-    // replacement exactly once on stderr; the verdict is unaffected.
+TEST(CliAnalysis, LegacyFlagIsAUsageError) {
+    // Only the dotted spellings exist: an old un-dotted one is an unknown
+    // flag, refused with the usage text (exit 2) before any analysis.
     CliResult legacy = run_ceuc("--analysis-jobs 4", kFigure2);
-    EXPECT_EQ(legacy.exit_code, 1);
-    EXPECT_NE(legacy.err.find("--analysis-jobs is deprecated"), std::string::npos)
-        << legacy.err;
+    EXPECT_EQ(legacy.exit_code, 2);
+    EXPECT_NE(legacy.err.find("usage: ceuc"), std::string::npos) << legacy.err;
     EXPECT_NE(legacy.err.find("--analysis.jobs"), std::string::npos) << legacy.err;
     CliResult dotted = run_ceuc("--analysis.jobs 4", kFigure2);
-    EXPECT_EQ(dotted.err.find("deprecated"), std::string::npos) << dotted.err;
+    EXPECT_EQ(dotted.exit_code, 1);  // Figure 2's conflict, as in the serial run
+    EXPECT_EQ(dotted.err.find("usage:"), std::string::npos) << dotted.err;
 }
 
 TEST(CliAnalysis, LintEmitsJsonPerDiagnostic) {

@@ -191,6 +191,52 @@ TEST(AotImage, SmallProgramsKeepSmallContexts) {
     EXPECT_LT(counter.desc->ctx_size, 512u);
 }
 
+/// One async block respawned on every GO: the generated C must reuse the
+/// dead slots of its async table, not drop the third spawn.
+constexpr const char* kRespawn = R"(
+    input void GO, STOP;
+    int done = 0;
+    par do
+       loop do
+          await GO;
+          int r = async do return 10; end;
+          done = done + r;
+       end
+    with
+       await STOP;
+       return done;
+    end
+)";
+
+/// Respawns caused by a running async's emit, with that async behind a dead
+/// slot: the table is compacted while the emitter's slice is on the stack.
+constexpr const char* kEmitRespawn = R"(
+    input void GO, START, STOP;
+    int done = 0;
+    par do
+       loop do
+          await GO;
+          int r = async do return 10; end;
+          done = done + r;
+          _printf("done %d\n", done);
+       end
+    with
+       await START;
+       async do
+          int i = 0;
+          loop do
+             i = i + 1;
+             emit GO;
+             if i == 6 then break; end
+          end
+       end;
+       _printf("emitter finished\n");
+    with
+       await STOP;
+       return done;
+    end
+)";
+
 // -- the Instance facade over a compiled context ------------------------------
 
 env::Script make_script(const std::string& text) {
@@ -202,30 +248,45 @@ env::Script make_script(const std::string& text) {
 
 TEST(AotInstance, TracesMatchTheInterpreterByteForByte) {
     SKIP_WITHOUT_CC();
-    auto cp = compile_shared(kBusy);
-    std::string err;
-    aot::ProgramHandle h = aot::FleetImage::build_one(cp, {}, &err);
-    ASSERT_TRUE(h) << err;
+    struct Case {
+        const char* source;
+        const char* script;
+        int64_t result;
+    };
+    const Case cases[] = {
+        {kBusy, "T 35000\nA\nT 10000\nE STOP 0\n", 4},
+        {kRespawn,
+         "E GO 0\nA\nE GO 0\nA\nE GO 0\nA\nE GO 0\nA\nE GO 0\nA\nE STOP 0\n", 50},
+        {kEmitRespawn, "E GO 0\nA\nE START 0\nA\nE STOP 0\n", 70},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.source);
+        auto cp = compile_shared(c.source);
+        std::string err;
+        aot::ProgramHandle h = aot::FleetImage::build_one(cp, {}, &err);
+        ASSERT_TRUE(h) << err;
 
-    env::Script script = make_script("T 35000\nA\nT 10000\nE STOP 0\n");
+        env::Script script = make_script(c.script);
 
-    host::Instance interp(cp);
-    Diagnostics d1;
-    interp.run(script, d1);
+        host::Instance interp(cp);
+        Diagnostics d1;
+        interp.run(script, d1);
 
-    host::Config cfg;
-    cfg.aot = h;
-    host::Instance compiled(cp, cfg);
-    Diagnostics d2;
-    compiled.run(script, d2);
+        host::Config cfg;
+        cfg.aot = h;
+        host::Instance compiled(cp, cfg);
+        Diagnostics d2;
+        compiled.run(script, d2);
 
-    EXPECT_TRUE(compiled.is_compiled());
-    EXPECT_FALSE(interp.is_compiled());
-    EXPECT_EQ(interp.trace(), compiled.trace());
-    EXPECT_EQ(interp.status(), compiled.status());
-    EXPECT_EQ(interp.result().as_int(), compiled.result().as_int());
-    EXPECT_EQ(interp.now(), compiled.now());
-    EXPECT_EQ(interp.reactions(), compiled.reactions());
+        EXPECT_TRUE(compiled.is_compiled());
+        EXPECT_FALSE(interp.is_compiled());
+        EXPECT_EQ(interp.trace(), compiled.trace());
+        EXPECT_EQ(interp.status(), compiled.status());
+        EXPECT_EQ(interp.result().as_int(), c.result);
+        EXPECT_EQ(compiled.result().as_int(), c.result);
+        EXPECT_EQ(interp.now(), compiled.now());
+        EXPECT_EQ(interp.reactions(), compiled.reactions());
+    }
 }
 
 TEST(AotInstance, RejectsBindingsAndForeignHandles) {

@@ -6,7 +6,7 @@
 #include "arduino/binding.hpp"
 #include "codegen/flatten.hpp"
 #include "display/binding.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 
 namespace ceu {
 namespace {
@@ -81,7 +81,7 @@ TEST(ArduinoBindings, AnalogToKeyMapping) {
         int none = _analog2key(1023);
         return up * 100 + down * 10 + none;
     )");
-    env::Driver d(cp, &c);
+    host::Instance d(cp, {.bindings = &c});
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(),
               arduino::kKeyUp * 100 + arduino::kKeyDown * 10 + arduino::kKeyNone);
@@ -98,7 +98,7 @@ TEST(ArduinoBindings, DigitalWritesAreRecorded) {
         _digitalWrite(13, _LOW);
         return 0;
     )");
-    env::Driver d(cp, &c);
+    host::Instance d(cp, {.bindings = &c});
     d.run(env::Script().advance(kSec));
     ASSERT_EQ(board.digital_history().size(), 2u);
     EXPECT_EQ(board.digital_history()[0].pin, 13);
@@ -135,7 +135,7 @@ TEST(ArduinoBindings, DebouncePatternFiltersBounce) {
         end
         return presses;
     )");
-    env::Driver d(cp, &c);
+    host::Instance d(cp, {.bindings = &c});
     d.boot();
     d.engine().go_time(kSec);
     EXPECT_EQ(d.engine().result().as_int(), 1);  // one press, despite bounce
@@ -184,7 +184,7 @@ TEST(SdlBindings, PollEventWritesThroughThePointer) {
         _SDL_Delay(10);
         return got * 10 + empty;
     )");
-    env::Driver d(cp, &c);
+    host::Instance d(cp, {.bindings = &c});
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 10);  // got=1, then queue empty
     EXPECT_EQ(disp.total_delay(), 10 * kMs);

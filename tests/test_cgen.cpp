@@ -9,7 +9,7 @@
 #include <fstream>
 
 #include "cgen/cgen.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 
 namespace ceu {
 namespace {
@@ -54,7 +54,7 @@ CRun compile_and_run(const std::string& c_source, const std::string& script_text
 void expect_parity(const std::string& source, const env::Script& script) {
     // Interpreter side.
     flat::CompiledProgram cp = flat::compile(source);
-    env::Driver d(cp);
+    host::Instance d(cp);
     d.run(script);
 
     // C side: translate the script to the harness protocol.

@@ -4,14 +4,14 @@
 
 #include "demos/demos.hpp"
 #include "dfa/dfa.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 #include "wsn/tinyos_binding.hpp"
 
 namespace ceu {
 namespace {
 
-using env::Driver;
 using env::Script;
+using host::Instance;
 
 // ---------------------------------------------------------------------------
 // Ring (§3.1)
@@ -166,7 +166,7 @@ TEST(ShipDemo, KeyStartsTheGameAndStepsAdvance) {
     rig.board.set_analog_source(
         0, arduino::Board::keypad_press(arduino::kRawUp, 120 * kMs, 400 * kMs, 0));
     flat::CompiledProgram cp = flat::compile(demos::kShip);
-    Driver d(cp, &rig.bindings);
+    Instance d(cp, {.bindings = &rig.bindings});
     d.run(ship_script(100));  // 5 seconds
     // The game started (initial redraw + step redraws at 500ms/step).
     EXPECT_GE(rig.world.redraws(), 5u);
@@ -184,7 +184,7 @@ TEST(ShipDemo, DeterministicReplayOfTheWholeGame) {
                     arduino::Board::keypad_press(arduino::kRawDown, 900 * kMs,
                                                  1300 * kMs, 0)}));
         flat::CompiledProgram cp = flat::compile(demos::kShip);
-        Driver d(cp, &rig.bindings);
+        Instance d(cp, {.bindings = &rig.bindings});
         d.run(ship_script(200));
         std::vector<std::string> frames;
         for (const auto& f : rig.lcd.frames()) frames.push_back(f.screen);
@@ -204,7 +204,7 @@ TEST(ShipDemo, KeyDownMovesTheShipToRowOne) {
                 arduino::Board::keypad_press(arduino::kRawDown, 900 * kMs, 1300 * kMs,
                                              0)}));
     flat::CompiledProgram cp = flat::compile(demos::kShip);
-    Driver d(cp, &rig.bindings);
+    Instance d(cp, {.bindings = &rig.bindings});
     d.run(ship_script(60));  // 3s: started at ~170ms, moved down at ~950ms
     bool ship_on_row1 = false;
     for (const auto& f : rig.lcd.frames()) {
@@ -250,7 +250,7 @@ TEST(MarioDemo, LiveSessionRunsTenSecondsOfSteps) {
     disp.push_key();
     rt::CBindings bindings = demos::make_mario_bindings(disp);
     flat::CompiledProgram cp = flat::compile(demos::kMarioLive);
-    Driver d(cp, &bindings);
+    Instance d(cp, {.bindings = &bindings});
     d.run(Script().settle_asyncs());
     // Initial scene + one redraw per Step.
     EXPECT_GE(disp.frames().size(), 1000u);
@@ -264,7 +264,7 @@ TEST(MarioDemo, ReplayReproducesTheRecordingExactly) {
     disp.push_key();
     rt::CBindings bindings = demos::make_mario_bindings(disp);
     flat::CompiledProgram cp = flat::compile(demos::kMarioReplay);
-    Driver d(cp, &bindings);
+    Instance d(cp, {.bindings = &bindings});
     d.run(Script().settle_asyncs());
 
     const auto& frames = disp.frames();
@@ -284,7 +284,7 @@ TEST(MarioDemo, BackwardsReplayShowsEarlierAndEarlierScenes) {
     display::Display disp;
     rt::CBindings bindings = demos::make_mario_bindings(disp);
     flat::CompiledProgram cp = flat::compile(demos::kMarioBackwards);
-    Driver d(cp, &bindings);
+    Instance d(cp, {.bindings = &bindings});
     d.run(Script().settle_asyncs());
 
     // Record phase: initial + 200 live frames; backwards phase: exactly one
@@ -313,7 +313,7 @@ TEST(MarioDemo, TemporalAnalysisAcceptsTheGame) {
 
 TEST(TemperatureDemo, BothDirectionsConvergeWithoutCycles) {
     flat::CompiledProgram cp = flat::compile(demos::kTemperature);
-    Driver d(cp);
+    Instance d(cp);
     d.run(Script().event("SetCelsius", 100).event("SetFahrenheit", 32));
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"set tc: tc=100 tf=212",
                                                    "set tf: tc=0 tf=32"}));

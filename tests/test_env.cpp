@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "codegen/flatten.hpp"
-#include "env/driver.hpp"
+#include "env/bindings.hpp"
+#include "host/instance.hpp"
 #include "runtime/timerwheel.hpp"
 
 namespace ceu {
@@ -59,7 +60,7 @@ TEST(StandardBindings, PrngIsSeedPure) {
             end
             return 0;
         )");
-        env::Driver d(cp);
+        host::Instance d(cp);
         d.run(env::Script().advance(10 * kMs));
         return d.trace();
     };
@@ -73,13 +74,13 @@ TEST(StandardBindings, PrngIsSeedPure) {
 
 TEST(StandardBindings, AssertThrowsOnFailure) {
     flat::CompiledProgram cp = flat::compile("_assert(1 == 2);");
-    env::Driver d(cp);
+    host::Instance d(cp);
     EXPECT_THROW(d.boot(), rt::RuntimeError);
 }
 
 TEST(StandardBindings, AbsWorks) {
     flat::CompiledProgram cp = flat::compile("return _abs(0 - 17);");
-    env::Driver d(cp);
+    host::Instance d(cp);
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 17);
 }
@@ -98,12 +99,12 @@ TEST(Bindings, MergePrefersTheOverlay) {
 }
 
 // ---------------------------------------------------------------------------
-// Driver
+// Scripts driven through host::Instance
 // ---------------------------------------------------------------------------
 
 TEST(Driver, AdvanceAccumulatesTheVirtualClock) {
     flat::CompiledProgram cp = flat::compile("loop do await 1s; _trace(1); end");
-    env::Driver d(cp);
+    host::Instance d(cp);
     d.run(env::Script().advance(500 * kMs).advance(500 * kMs).advance(kSec));
     EXPECT_EQ(d.clock(), 2 * kSec);
     EXPECT_EQ(d.trace().size(), 2u);
@@ -111,7 +112,7 @@ TEST(Driver, AdvanceAccumulatesTheVirtualClock) {
 
 TEST(Driver, UnknownScriptEventThrows) {
     flat::CompiledProgram cp = flat::compile("input void A; await A;");
-    env::Driver d(cp);
+    host::Instance d(cp);
     d.boot();
     EXPECT_THROW(
         d.feed({env::ScriptItem::Kind::Event, "Nope", Value::integer(0), 0}),
@@ -132,9 +133,9 @@ TEST(Driver, SettleCapThrowsOnRunawayAsync) {
         end
         return r;
     )");
-    env::Driver d(cp);
+    host::Instance d(cp);
     d.boot();
-    EXPECT_THROW(d.settle_asyncs(/*max_slices=*/100), rt::RuntimeError);
+    EXPECT_THROW(d.settle(/*max_slices=*/100), rt::RuntimeError);
 }
 
 // ---------------------------------------------------------------------------

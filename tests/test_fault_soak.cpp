@@ -15,11 +15,12 @@
 
 #include "codegen/flatten.hpp"
 #include "demos/demos.hpp"
-#include "env/driver.hpp"
+#include "env/bindings.hpp"
 #include "env/script.hpp"
 #include "fault/plan.hpp"
 #include "fault/prng.hpp"
 #include "fault/session.hpp"
+#include "host/instance.hpp"
 #include "runtime/engine.hpp"
 #include "wsn/nesc_runtime.hpp"
 #include "wsn/tinyos_binding.hpp"
@@ -27,8 +28,8 @@
 namespace ceu {
 namespace {
 
-using env::Driver;
 using env::Script;
+using host::Instance;
 using rt::Engine;
 using rt::EngineOptions;
 using wsn::CeuMote;
@@ -279,7 +280,7 @@ TEST(EngineFaults, InvariantCheckerStaysQuietOnHealthyPrograms) {
 }
 
 // ---------------------------------------------------------------------------
-// Driver: script-level crash + structured diagnostics (the ceuc path).
+// Scripts: script-level crash + structured diagnostics (the ceuc path).
 // ---------------------------------------------------------------------------
 
 TEST(DriverFaults, ScriptCrashPowerCyclesTheEngine) {
@@ -292,7 +293,7 @@ TEST(DriverFaults, ScriptCrashPowerCyclesTheEngine) {
         end
     )";
     flat::CompiledProgram cp = flat::compile(kProgram);
-    Driver d(cp);
+    Instance d(cp);
     Script script;
     script.event("Tick").crash().event("Tick");
     d.run(script);
@@ -307,7 +308,7 @@ TEST(DriverFaults, RuntimeErrorBecomesStructuredDiagnostic) {
         _missing_fn(1);
     )";
     flat::CompiledProgram cp = flat::compile(kProgram);
-    Driver d(cp);
+    Instance d(cp);
     Diagnostics diags;
     d.run(Script{}, diags);
     ASSERT_FALSE(diags.ok());

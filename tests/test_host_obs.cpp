@@ -223,7 +223,7 @@ TEST(HostInstance, TraceLinesStreamAndCollect) {
         await GO;
     )");
     std::vector<std::string> streamed;
-    inst.on_trace_line = [&](const std::string& l) { streamed.push_back(l); };
+    inst.add_output_sink([&](const std::string& l) { streamed.push_back(l); });
     inst.boot();
     inst.inject("GO");
     ASSERT_EQ(streamed.size(), 1u);

@@ -4,7 +4,7 @@
 // signature-keyed DFA cache (round trips, corruption rejection, line
 // rebasing, hit/miss accounting), content-hash stability under reformatting
 // and under edits to other modules, and the `ceuc --analysis.modular /
-// --cache-dir` CLI surface.
+// --analysis.cache-dir` CLI surface.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -369,9 +369,8 @@ TEST(Equivalence, TwoHundredSeededPrograms) {
 
 TEST(Equivalence, DifferRunsTheModularOracle) {
     // The conformance harness itself cross-checks composed vs monolithic on
-    // every case (DiffOptions::check_modular defaults on); a refusal must
-    // come back as dfa-refused, never modular-diverged.
-    ASSERT_TRUE(testgen::DiffOptions{}.check_modular);
+    // every case; a refusal must come back as dfa-refused, never
+    // modular-diverged.
     env::Script script;
     Diagnostics diags;
     ASSERT_TRUE(env::Script::parse("E A\nE A\nE A\nQ\n", &script, diags));
@@ -685,11 +684,11 @@ TEST(CliModular, VerdictMatchesMonolithic) {
 
 TEST(CliModular, CacheDirColdThenWarm) {
     std::string dir = fresh_cache_dir("cli");
-    CliResult cold = run_ceuc("--cache-dir=" + dir, kIndependent3);
+    CliResult cold = run_ceuc("--analysis.cache-dir=" + dir, kIndependent3);
     EXPECT_EQ(cold.exit_code, 0) << cold.err;
     EXPECT_NE(cold.err.find("hits=0 misses=3 stores=3"), std::string::npos)
         << cold.err;
-    CliResult warm = run_ceuc("--cache-dir=" + dir, kIndependent3);
+    CliResult warm = run_ceuc("--analysis.cache-dir=" + dir, kIndependent3);
     EXPECT_EQ(warm.exit_code, 0) << warm.err;
     EXPECT_NE(warm.err.find("3 cached, 0 explored"), std::string::npos) << warm.err;
     EXPECT_NE(warm.err.find("hits=3 misses=0 stores=0"), std::string::npos)
@@ -707,12 +706,13 @@ TEST(CliModular, JsonModeEmitsCacheStats) {
 }
 
 TEST(CliModular, StrictRefusesComposedIncompleteVerdict) {
-    CliResult r = run_ceuc("--analysis.modular --analysis.strict --max-states 2",
-                           kIndependent3);
+    CliResult r = run_ceuc(
+        "--analysis.modular --analysis.strict --analysis.max-states 2", kIndependent3);
     EXPECT_EQ(r.exit_code, 1);
-    EXPECT_NE(r.err.find("--strict"), std::string::npos) << r.err;
-    // Without --strict the incomplete composition warns but passes.
-    CliResult soft = run_ceuc("--analysis.modular --max-states 2", kIndependent3);
+    EXPECT_NE(r.err.find("--analysis.strict"), std::string::npos) << r.err;
+    // Without --analysis.strict the incomplete composition warns but passes.
+    CliResult soft =
+        run_ceuc("--analysis.modular --analysis.max-states 2", kIndependent3);
     EXPECT_EQ(soft.exit_code, 0) << soft.err;
     EXPECT_NE(soft.out.find("INCOMPLETE"), std::string::npos)
         << "check-mode summary must not claim OK: " << soft.out << soft.err;

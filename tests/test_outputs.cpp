@@ -6,13 +6,13 @@
 
 #include "cgen/cgen.hpp"
 #include "dfa/dfa.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 
 namespace ceu {
 namespace {
 
-using env::Driver;
 using env::Script;
+using host::Instance;
 using rt::CBindings;
 using rt::Engine;
 using rt::Value;
@@ -31,7 +31,7 @@ TEST(Outputs, EmitInvokesTheRegisteredHandler) {
     std::vector<int64_t> led;
     CBindings extra;
     extra.output("Led", [&led](Engine&, Value v) { led.push_back(v.as_int()); });
-    Driver d(cp, &extra);
+    Instance d(cp, {.bindings = &extra});
     d.boot();
     d.feed({env::ScriptItem::Kind::Event, "A", Value::integer(0), 0});
     d.feed({env::ScriptItem::Kind::Event, "A", Value::integer(0), 0});
@@ -40,7 +40,7 @@ TEST(Outputs, EmitInvokesTheRegisteredHandler) {
 
 TEST(Outputs, UnhandledOutputIsTraced) {
     flat::CompiledProgram cp = flat::compile("output int O; emit O = 9; return 0;");
-    Driver d(cp);
+    Instance d(cp);
     d.run({});
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"output O = 9"}));
 }
@@ -50,7 +50,7 @@ TEST(Outputs, VoidOutputsCarryNoValue) {
     int pings = 0;
     CBindings extra;
     extra.output("Ping", [&pings](Engine&, Value) { ++pings; });
-    Driver d(cp, &extra);
+    Instance d(cp, {.bindings = &extra});
     d.run({});
     EXPECT_EQ(pings, 1);
 
@@ -158,7 +158,7 @@ TEST(Outputs, BlinkTwoLedsViaOutputs) {
     extra.output("Led1", [&toggles](Engine& e, Value) {
         toggles.emplace_back('1', e.logical_now());
     });
-    Driver d(cp, &extra);
+    Instance d(cp, {.bindings = &extra});
     d.run(Script().advance(4 * kSec));
     // At t=2s and t=4s both leds toggle at the same logical instant.
     int joint = 0;

@@ -15,7 +15,8 @@
 
 #include "demos/demos.hpp"
 #include "dfa/dfa.hpp"
-#include "env/driver.hpp"
+#include "env/bindings.hpp"
+#include "env/script.hpp"
 
 namespace ceu {
 namespace {

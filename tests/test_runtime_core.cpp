@@ -5,20 +5,20 @@
 #include <gtest/gtest.h>
 
 #include "codegen/flatten.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 
 namespace ceu {
 namespace {
 
-using env::Driver;
 using env::Script;
 using flat::CompiledProgram;
+using host::Instance;
 using rt::Engine;
 using rt::Value;
 
 TEST(Runtime, StraightLineProgramTerminatesWithResult) {
     CompiledProgram cp = flat::compile("int v = 40; v = v + 2; return v;");
-    Driver d(cp);
+    Instance d(cp);
     d.run({});
     EXPECT_EQ(d.engine().status(), Engine::Status::Terminated);
     EXPECT_EQ(d.engine().result().as_int(), 42);
@@ -48,17 +48,16 @@ TEST(Runtime, QuickstartCounterExample) {
            end
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.run(Script().advance(kSec).advance(kSec).event("Restart", 10).advance(kSec));
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"v = 1", "v = 2", "v = 10", "v = 11"}));
     EXPECT_EQ(d.engine().status(), Engine::Status::Running);
 }
 
 TEST(Runtime, AwaitInLoopNeverMissesAnOccurrence) {
-    auto trace = env::run_and_trace(
-        "input void A; loop do await A; _trace(1); end",
-        Script().event("A").event("A").event("A"));
-    EXPECT_EQ(trace.size(), 3u);
+    Instance d("input void A; loop do await A; _trace(1); end");
+    d.run(Script().event("A").event("A").event("A"));
+    EXPECT_EQ(d.trace().size(), 3u);
 }
 
 TEST(Runtime, InterveningTimeAwaitCanMissOccurrences) {
@@ -66,7 +65,7 @@ TEST(Runtime, InterveningTimeAwaitCanMissOccurrences) {
     // arriving during that microsecond is simply discarded.
     CompiledProgram cp = flat::compile(
         "input void A; loop do await A; await 1us; _trace(1); end");
-    Driver d(cp);
+    Instance d(cp);
     d.run(Script().event("A").event("A").advance(kMs));
     EXPECT_EQ(d.trace().size(), 1u);  // the 2nd A fell into the 1us window
     d.feed({env::ScriptItem::Kind::Event, "A", Value::integer(0), 0});
@@ -90,7 +89,7 @@ TEST(Runtime, Figure1ReactionChains) {
            await B; _trace("t3b");
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     auto ev = [&](const char* name) {
         d.feed({env::ScriptItem::Kind::Event, name, Value::integer(0), 0});
@@ -135,7 +134,7 @@ TEST(Runtime, InternalEventStackWalkthrough) {
            await forever;
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"v2 11", "v3 22", "v2 16", "v3 32"}));
     // All of it happened inside the single boot reaction chain.
@@ -170,7 +169,7 @@ TEST(Runtime, MutualDependencyHasNoRuntimeCycle) {
            await forever;
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     EXPECT_EQ(d.trace(),
               (std::vector<std::string>{"tc 100 tf 212", "tc 0 tf 32"}));
@@ -187,7 +186,7 @@ TEST(Runtime, ResidualDeltaCompensation) {
         v = 2;
         return v;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     d.engine().go_time(15 * kMs);
     EXPECT_EQ(d.engine().status(), Engine::Status::Terminated);
@@ -202,7 +201,7 @@ TEST(Runtime, SequentialTimersDoNotAccumulateDrift) {
     CompiledProgram cp = flat::compile(
         "int n = 0; loop do await 10ms; n = n + 1; if n == 10 then break; end end\n"
         "return n;");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     // Serve the timers in two very late batches.
     d.engine().go_time(57 * kMs);   // fires 10..50ms deadlines
@@ -226,7 +225,7 @@ TEST(Runtime, TimeIsAPhysicalQuantity5049Before100) {
         end
         return v;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.run(Script().advance(200 * kMs));
     EXPECT_EQ(d.engine().result().as_int(), 1);
 }
@@ -243,7 +242,7 @@ TEST(Runtime, EqualDeadlinesExpireInTheSameReaction) {
         end
         return 0;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     uint64_t before = d.engine().reactions();
     d.engine().go_time(100 * kMs);
@@ -264,7 +263,7 @@ TEST(Runtime, ParAndRejoinsAfterAllBranches) {
         _trace("joined");
         return 1;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     d.feed({env::ScriptItem::Kind::Event, "A", Value::integer(0), 0});
     EXPECT_TRUE(d.trace().empty());
@@ -284,7 +283,7 @@ TEST(Runtime, ParOrKillsSiblingTrails) {
         _trace("after");
         return 0;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     d.feed({env::ScriptItem::Kind::Event, "A", Value::integer(0), 0});
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"a", "after"}));
@@ -308,7 +307,7 @@ TEST(Runtime, WatchdogArchetype) {
         end
         return 0;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     d.feed({env::ScriptItem::Kind::Advance, "", Value::integer(0), 150 * kMs});
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"timeout"}));
@@ -328,7 +327,7 @@ TEST(Runtime, SamplingArchetypeRunsAtMinimumPeriod) {
            end
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     EXPECT_EQ(d.trace().size(), 1u);  // immediate first sample
     d.engine().go_time(350 * kMs);
@@ -356,7 +355,7 @@ TEST(Runtime, ValueParReturnsFromEitherTrail) {
            await forever;
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     d.feed({env::ScriptItem::Kind::Event, "Key", Value::integer(0), 0});
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"v 1"}));
@@ -376,7 +375,7 @@ TEST(Runtime, BreakEscapesFromAParallelTrail) {
         _trace("out");
         return 0;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     auto ev = [&](const char* name) {
         d.feed({env::ScriptItem::Kind::Event, name, Value::integer(0), 0});
@@ -410,7 +409,7 @@ TEST(Runtime, GuidingExampleFromSection4) {
         end
         return ret;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     d.feed({env::ScriptItem::Kind::Event, "A", Value::integer(3), 0});
     EXPECT_EQ(d.engine().status(), Engine::Status::Running);
@@ -445,7 +444,7 @@ TEST(Runtime, AsyncArithmeticProgressionWithWatchdog) {
     {
         // Asyncs get to run: the sum completes.
         CompiledProgram cp = flat::compile(kSource);
-        Driver d(cp);
+        Instance d(cp);
         d.run({});
         EXPECT_EQ(d.engine().status(), Engine::Status::Terminated);
         EXPECT_EQ(d.engine().result().as_int(), 5050);
@@ -453,7 +452,7 @@ TEST(Runtime, AsyncArithmeticProgressionWithWatchdog) {
     {
         // The watchdog fires before the async is ever scheduled.
         CompiledProgram cp = flat::compile(kSource);
-        Driver d(cp);
+        Instance d(cp);
         d.boot();
         d.engine().go_time(10 * kMs);
         EXPECT_EQ(d.engine().status(), Engine::Status::Terminated);
@@ -487,7 +486,7 @@ TEST(Runtime, AsyncsRunRoundRobin) {
         end
         return r1 + r2;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 6);
     // Round-robin: slices alternate a/b deterministically.
@@ -522,7 +521,7 @@ TEST(Runtime, SimulationExampleFromSection28) {
            _assert(0);
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     EXPECT_NO_THROW(d.run({}));
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"ok"}));
     EXPECT_EQ(d.engine().status(), Engine::Status::Terminated);
@@ -548,7 +547,7 @@ TEST(Runtime, ApplicationSwitchPattern) {
            end
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"app1"}));
     d.feed({env::ScriptItem::Kind::Event, "Switch", Value::integer(2), 0});
@@ -564,7 +563,7 @@ TEST(Runtime, EmitWithNoAwaitersIsDiscardedInline) {
         _trace("still here");
         return 7;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"still here"}));
     EXPECT_EQ(d.engine().result().as_int(), 7);
@@ -572,19 +571,19 @@ TEST(Runtime, EmitWithNoAwaitersIsDiscardedInline) {
 
 TEST(Runtime, UnboundCSymbolRaisesRuntimeError) {
     CompiledProgram cp = flat::compile("_no_such_function();");
-    Driver d(cp);
+    Instance d(cp);
     EXPECT_THROW(d.boot(), rt::RuntimeError);
 }
 
 TEST(Runtime, DivisionByZeroRaisesRuntimeError) {
     CompiledProgram cp = flat::compile("int v = 0; int w = 1 / v; return w;");
-    Driver d(cp);
+    Instance d(cp);
     EXPECT_THROW(d.boot(), rt::RuntimeError);
 }
 
 TEST(Runtime, ArrayIndexOutOfBoundsRaises) {
     CompiledProgram cp = flat::compile("int[4] a; a[4] = 1; return 0;");
-    Driver d(cp);
+    Instance d(cp);
     EXPECT_THROW(d.boot(), rt::RuntimeError);
 }
 
@@ -599,7 +598,7 @@ TEST(Runtime, ArraysAndIndexing) {
         end
         return a[0] + a[1] + a[2] + a[3] + a[4];
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.run(Script().advance(10 * kMs));
     EXPECT_EQ(d.engine().result().as_int(), 0 + 1 + 4 + 9 + 16);
 }
@@ -611,7 +610,7 @@ TEST(Runtime, PointersIntoSlots) {
         *p = *p + 10;
         return v;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 15);
 }
@@ -633,15 +632,17 @@ TEST(Runtime, DeterministicReplay) {
     )";
     Script script;
     script.advance(kSec).event("Restart", 5).advance(2 * kSec).event("Restart", 0);
-    auto t1 = env::run_and_trace(kSource, script);
-    auto t2 = env::run_and_trace(kSource, script);
-    EXPECT_EQ(t1, t2);
-    EXPECT_FALSE(t1.empty());
+    Instance a(kSource);
+    Instance b(kSource);
+    a.run(script);
+    b.run(script);
+    EXPECT_EQ(a.trace(), b.trace());
+    EXPECT_FALSE(a.trace().empty());
 }
 
 TEST(Runtime, VarInspectionAndRamModel) {
     CompiledProgram cp = flat::compile("int v = 3; await forever;");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     auto v = d.engine().var("v");
     ASSERT_TRUE(v.has_value());

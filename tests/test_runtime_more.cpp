@@ -5,20 +5,20 @@
 #include <gtest/gtest.h>
 
 #include "codegen/flatten.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 
 namespace ceu {
 namespace {
 
-using env::Driver;
 using env::Script;
 using env::ScriptItem;
 using flat::CompiledProgram;
+using host::Instance;
 using rt::CBindings;
 using rt::Engine;
 using rt::Value;
 
-void ev(Driver& d, const char* name, int64_t v = 0) {
+void ev(Instance& d, const char* name, int64_t v = 0) {
     d.feed({ScriptItem::Kind::Event, name, Value::integer(v), 0});
 }
 
@@ -41,7 +41,7 @@ TEST(RuntimeMore, BothParOrTrailsTerminatingSameReactionRunOnce) {
            _trace("joined", n);
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     ev(d, "A");
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"b1", "b2", "joined 1"}));
@@ -65,7 +65,7 @@ TEST(RuntimeMore, ValueParWithConcurrentReturnAssignsOnce) {
            _trace("v", v, "n", n);
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     ev(d, "A");
     // First escape wins; the continuation (and assignment) runs once.
@@ -90,7 +90,7 @@ TEST(RuntimeMore, ParOrKillCancelsSuspendedEmitter) {
         _trace("after");
         return 0;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     ev(d, "A");
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"waiter", "after"}));
@@ -112,7 +112,7 @@ TEST(RuntimeMore, ParOrKillCancelsRunningAsync) {
         end
         return r;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     EXPECT_TRUE(d.engine().has_async_work());
     d.engine().go_time(kMs);  // watchdog fires first
@@ -130,7 +130,7 @@ TEST(RuntimeMore, ValueDoBlockReturns) {
         end;
         return v;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 42);
 }
@@ -144,7 +144,7 @@ TEST(RuntimeMore, ValueDoBlockWithAwait) {
         end;
         return v;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     ev(d, "A", 21);
     EXPECT_EQ(d.engine().result().as_int(), 42);
@@ -166,7 +166,7 @@ TEST(RuntimeMore, NestedLoopsWithBreaks) {
         end
         return inner;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     for (int i = 0; i < 6; ++i) ev(d, "A");
     EXPECT_EQ(d.engine().status(), Engine::Status::Terminated);
@@ -182,7 +182,7 @@ TEST(RuntimeMore, CGlobalsAreReadableAndWritable) {
     int64_t counter = 10;
     CBindings extra;
     extra.global("counter", &counter);
-    Driver d(cp, &extra);
+    Instance d(cp, {.bindings = &extra});
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 15);
     EXPECT_EQ(counter, 15);
@@ -203,7 +203,7 @@ TEST(RuntimeMore, CArraysReadAndWrite) {
         [&grid](std::span<const int64_t> idx, Value v) {
             grid[idx[0]][idx[1]] = v.as_int();
         });
-    Driver d(cp, &extra);
+    Instance d(cp, {.bindings = &extra});
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 10);
     EXPECT_EQ(grid[1][2], 7);
@@ -213,7 +213,7 @@ TEST(RuntimeMore, ReadOnlyCArrayRejectsWrites) {
     CompiledProgram cp = flat::compile("_RO[0] = 1;");
     CBindings extra;
     extra.array("RO", [](std::span<const int64_t>) { return Value::integer(0); });
-    Driver d(cp, &extra);
+    Instance d(cp, {.bindings = &extra});
     EXPECT_THROW(d.boot(), rt::RuntimeError);
 }
 
@@ -234,7 +234,7 @@ TEST(RuntimeMore, FieldAccessorOnCTypedVariable) {
     extra.fn("SDL_Event.type", [](Engine&, std::span<const Value> args) {
         return Value::integer(*args[0].p);
     });
-    Driver d(cp, &extra);
+    Instance d(cp, {.bindings = &extra});
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 2);
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"keydown"}));
@@ -247,7 +247,7 @@ TEST(RuntimeMore, CastAndSizeof) {
         int c = sizeof<int*>;
         return a + b + c;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 300 + 4 + 8);
 }
@@ -267,7 +267,7 @@ TEST(RuntimeMore, ShortCircuitEvaluation) {
         ++bumps;
         return Value::integer(1);
     });
-    Driver d(cp, &extra);
+    Instance d(cp, {.bindings = &extra});
     d.run({});
     EXPECT_EQ(bumps, 1);  // only the `1 && _bump()` evaluated the call
     EXPECT_EQ(d.engine().result().as_int(), 0 * 100 + 0 * 10 + 1 + 1);
@@ -275,7 +275,7 @@ TEST(RuntimeMore, ShortCircuitEvaluation) {
 
 TEST(RuntimeMore, EngineRefusesInputAfterTermination) {
     CompiledProgram cp = flat::compile("return 1;");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     EXPECT_EQ(d.engine().status(), Engine::Status::Terminated);
     d.engine().go_event(0, Value::integer(0));
@@ -291,7 +291,7 @@ TEST(RuntimeMore, AwaitTimeAsValueYieldsResidualDelta) {
         int delta = await 10ms;
         return delta;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     d.engine().go_time(15 * kMs);
     EXPECT_EQ(d.engine().result().as_int(), 5 * kMs);
@@ -316,7 +316,7 @@ TEST(RuntimeMore, ThreeLevelEscapeKillsEverythingInBetween) {
         _trace("done");
         return 0;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     ev(d, "B");
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"inner-b", "outer-b"}));
@@ -339,7 +339,7 @@ TEST(RuntimeMore, DynamicAwaitDurations) {
         end
         return steps;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     // 500 + 400 + 300 + 200 + 100 ms = 1.5s total.
     d.engine().go_time(1499 * kMs);
@@ -370,7 +370,7 @@ TEST(RuntimeMore, EmitValueReachesAllAwaitingTrails) {
            end
         end
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.boot();
     ev(d, "Go");
     EXPECT_EQ(d.trace(), (std::vector<std::string>{"t1 42", "t2 42"}));
@@ -392,7 +392,7 @@ TEST(RuntimeMore, ReentrantApiUseIsRefused) {
         eng.go_event(cp.sema.input_id("A"), Value::integer(0));
         return Value::integer(0);
     });
-    Driver d(cp, &extra);
+    Instance d(cp, {.bindings = &extra});
     d.boot();
     EXPECT_THROW(d.engine().go_time(kSec), rt::RuntimeError);
 }
@@ -404,7 +404,7 @@ TEST(RuntimeMore, CBlocksDoNotAffectInterpretation) {
         end
         return 5;
     )");
-    Driver d(cp);
+    Instance d(cp);
     d.run({});
     EXPECT_EQ(d.engine().result().as_int(), 5);
     ASSERT_EQ(cp.sema.c_blocks.size(), 1u);

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/flatten.hpp"
-#include "env/driver.hpp"
+#include "host/instance.hpp"
 
 namespace ceu {
 namespace {
@@ -366,7 +366,7 @@ class SimulationSuite : public ::testing::TestWithParam<size_t> {};
 TEST_P(SimulationSuite, ProgramValidatesItself) {
     const SimCase& c = kCases[GetParam()];
     flat::CompiledProgram cp = flat::compile(c.source, c.name);
-    env::Driver d(cp);
+    host::Instance d(cp);
     // The program is entirely self-driving: boot, then let the async
     // environment-generator run to completion.
     ASSERT_NO_THROW(d.run({})) << c.name;
@@ -385,7 +385,7 @@ TEST(SimulationSuite, ReplayingACaseIsIdempotent) {
     // behavior."
     for (int round = 0; round < 3; ++round) {
         flat::CompiledProgram cp = flat::compile(kCases[1].source);
-        env::Driver d(cp);
+        host::Instance d(cp);
         d.run({});
         EXPECT_EQ(d.engine().result().as_int(), 1);
     }

@@ -422,7 +422,7 @@ TEST(Supervision, RebootRestartsAfterTheBackoffFromScratch) {
 
     Micros due = r.next_restart_due();
     ASSERT_GE(due, 0);
-    EXPECT_EQ(due, r.now() + 4 * rc.timer_granularity);
+    EXPECT_EQ(due, r.now() + 4 * reactor::kTimerGranularity);
 
     // The backoff has not expired: rounds at the current instant leave the
     // member down. drain() must not spin on the future restart.
