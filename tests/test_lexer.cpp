@@ -97,6 +97,10 @@ struct TimeCase {
     Micros expected;
 };
 
+// Without this gtest prints the case's raw bytes, pointer included, and
+// ctest takes its test names from that print: they would differ per run.
+void PrintTo(const TimeCase& c, std::ostream* os) { *os << c.text; }
+
 class LexerTimeLiterals : public ::testing::TestWithParam<TimeCase> {};
 
 TEST_P(LexerTimeLiterals, ParsesToMicroseconds) {
