@@ -390,7 +390,7 @@ class Emitter {
             << (fp_.gates.size() + fp_.pars.size() + fp_.escapes.size() + 4) << "\n"
             << "#define CEU_TCAP " << (timer_gates + 1) << "\n"
             << "#define CEU_SCAP " << (emit_sites + 1) << "\n"
-            << "#define CEU_ACAP " << (fp_.asyncs.size() + 1) << "\n";
+            << "#define CEU_ACAP " << fp_.async_capacity() << "\n";
         os_ << R"(/* ---- runtime bookkeeping (statically bounded queues) ---- */
 typedef struct { int pc; int prio; unsigned long seq; int64_t wake; } ceu_track_t;
 typedef struct { int gate; int64_t deadline; } ceu_timer_t;
@@ -795,8 +795,8 @@ static int ceu_api_async(ceu_ctx_t* C);
             case IOp::AsyncRun: {
                 // A full table holds dead contexts (each async block has at
                 // most one live one): compact them out in spawn order and
-                // remap the round-robin cursor — the interpreter's order,
-                // whose go_async skips dead contexts. Still full is a broken
+                // remap the round-robin cursor, as the interpreter's
+                // Engine::compact_asyncs does. Still full is a broken
                 // invariant: fault, never drop the spawn.
                 const auto& ai = fp_.asyncs[static_cast<size_t>(I.a)];
                 os_ << "            GATES[" << I.b << "] = 1;\n"

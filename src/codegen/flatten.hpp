@@ -140,6 +140,12 @@ struct FlatProgram {
     std::vector<std::vector<GateId>> int_gates;  // per internal event
 
     [[nodiscard]] size_t rom_footprint() const { return code.size() * sizeof(Instr); }
+
+    /// Slots in the async context table, shared by the interpreter and
+    /// generated C (CEU_ACAP). An async block has at most one live context
+    /// (its trail awaits it; killing the trail kills it), so one slot per
+    /// block suffices; the extra one keeps the C array non-empty.
+    [[nodiscard]] size_t async_capacity() const { return asyncs.size() + 1; }
 };
 
 /// A fully compiled program: source AST + sema results + flat code, with

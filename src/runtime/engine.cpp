@@ -24,6 +24,9 @@ Engine::Engine(const flat::CompiledProgram& cp, const CBindings& bindings, Optio
     stack_.reserve(8);
     firing_scratch_.reserve(std::max<size_t>(4, fp_.gates.size()));
     expired_scratch_.reserve(std::max<size_t>(4, fp_.gates.size()));
+    // The async table is generated C's AS[CEU_ACAP]: reserved once, never
+    // grown (AsyncRun compacts a full one).
+    if (!fp_.asyncs.empty()) asyncs_.reserve(fp_.async_capacity());
 }
 
 // ---------------------------------------------------------------------------
@@ -208,6 +211,18 @@ size_t Engine::alive_asyncs() const {
         if (a.alive) ++n;
     }
     return n;
+}
+
+size_t Engine::compact_asyncs(std::vector<AsyncCtx>& table, size_t rr) {
+    size_t live = 0;
+    size_t before = 0;
+    for (size_t k = 0; k < table.size(); ++k) {
+        if (!table[k].alive) continue;
+        if (k < rr) ++before;
+        table[live++] = table[k];
+    }
+    table.resize(live);
+    return before;
 }
 
 void Engine::check_not_reentrant(const char* api) const {
@@ -540,8 +555,21 @@ void Engine::exec(Track t) {
                 return;
 
             case IOp::AsyncRun: {
+                // Generated C's AsyncRun: a full table holds dead contexts
+                // (each block has at most one live one), so compact them out
+                // in spawn order; still full is a broken invariant and
+                // faults, never grows the table or drops the spawn. An
+                // exec_async frame below this reaction may now name another
+                // context, but it returns without touching it.
                 const flat::AsyncInfo& ai = fp_.asyncs[static_cast<size_t>(I.a)];
                 gate_active_[static_cast<size_t>(I.b)] = 1;
+                if (asyncs_.size() == fp_.async_capacity()) {
+                    async_rr_ = compact_asyncs(asyncs_, async_rr_);
+                    if (asyncs_.size() == fp_.async_capacity()) {
+                        throw RuntimeError(I.loc, "async table full: an async block "
+                                                  "has more than one live context");
+                    }
+                }
                 asyncs_.push_back({I.a, ai.begin, true});
                 return;
             }

@@ -179,8 +179,10 @@ class Engine {
     /// been constructed over a structurally identical program (validated
     /// via program_fingerprint()) with the same scheduling options; after
     /// a successful load the engine behaves byte-identically to the one
-    /// that was saved. Throws snap::SnapshotError on any mismatch,
-    /// truncation or corruption, leaving the engine untouched.
+    /// that was saved. Dead async contexts are dropped on the way in (older
+    /// blobs carry every one their engine spawned); a blob with two live
+    /// contexts of one async block is corrupt. Throws snap::SnapshotError on
+    /// any mismatch, truncation or corruption, leaving the engine untouched.
     void load(const uint8_t* data, size_t size);
     void load(const std::vector<uint8_t>& blob) { load(blob.data(), blob.size()); }
 
@@ -296,7 +298,7 @@ class Engine {
     std::vector<Track> queue_;   // priority queue (max prio, then FIFO)
     std::vector<EmitFrame> stack_;
     TimerWheel timers_;
-    std::vector<AsyncCtx> asyncs_;
+    std::vector<AsyncCtx> asyncs_;  // bounded: fp_.async_capacity(), in spawn order
     size_t async_rr_ = 0;
 
     /// Backing store for Str values rehydrated from a snapshot: the source
@@ -338,6 +340,10 @@ class Engine {
     void check_not_reentrant(const char* api) const;
     [[nodiscard]] int status_code() const;
     [[nodiscard]] size_t alive_asyncs() const;
+    /// Drops the dead contexts of `table` in place, keeping spawn order, and
+    /// returns round-robin cursor `rr` remapped onto the live entries before
+    /// it — go_async's next pick is unchanged, as it skips dead contexts.
+    static size_t compact_asyncs(std::vector<AsyncCtx>& table, size_t rr);
 
     // -- expression evaluation --------------------------------------------------
 

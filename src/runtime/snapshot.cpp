@@ -198,6 +198,8 @@ void Engine::save(std::vector<uint8_t>& out) const {
     }
     w.u64(timers_.next_seq());
 
+    // The bounded table as it stands: at most fp_.async_capacity() entries,
+    // dead ones included until a full spawn compacts them.
     w.u32(static_cast<uint32_t>(asyncs_.size()));
     for (const AsyncCtx& a : asyncs_) {
         w.i64(a.async_idx);
@@ -389,6 +391,22 @@ void Engine::load(const uint8_t* data, size_t size) {
         a.alive = r.u8() != 0;
         asyncs.push_back(a);
     }
+    if (async_rr > n_asyncs) {
+        throw snap::SnapshotError("async round-robin cursor out of range");
+    }
+    // Older blobs carry every dead context their engine ever spawned: keep
+    // only the live ones, as a full table's compaction would. What remains
+    // must fit the one-live-context-per-block bound of the table.
+    async_rr = compact_asyncs(asyncs, static_cast<size_t>(async_rr));
+    for (size_t i = 0; i < asyncs.size(); ++i) {
+        for (size_t j = 0; j < i; ++j) {
+            if (asyncs[j].async_idx == asyncs[i].async_idx) {
+                throw snap::SnapshotError("async block " +
+                                          std::to_string(asyncs[i].async_idx) +
+                                          " has more than one live context");
+            }
+        }
+    }
     if (!r.done()) {
         throw snap::SnapshotError("trailing bytes after engine state");
     }
@@ -427,7 +445,7 @@ void Engine::load(const uint8_t* data, size_t size) {
     queue_.reserve(std::max<size_t>(8, fp_.gates.size() + 1));
     stack_.reserve(8);
     timers_.restore(std::move(timers), timer_seq);
-    asyncs_ = std::move(asyncs);
+    asyncs_.assign(asyncs.begin(), asyncs.end());  // keeps the reserved table
 
     now_ = now;
     logical_now_ = logical_now;

@@ -237,6 +237,71 @@ constexpr const char* kEmitRespawn = R"(
     end
 )";
 
+/// A running async whose own emit ends its par/or: the kill lands while its
+/// slice is on the stack, and the loop respawns the block in that same
+/// reaction — twice per GO, so full tables hold killed contexts, not only
+/// finished ones.
+constexpr const char* kKillRespawn = R"(
+    input void GO, KILL, STOP;
+    int done = 0;
+    int kills = 0;
+    int k = 0;
+    par do
+       loop do
+          await GO;
+          k = 0;
+          loop do
+             par/or do
+                int r = async do
+                   if k < 2 then
+                      emit KILL;
+                   end
+                   return 10;
+                end;
+                done = done + r;
+                _printf("done %d\n", done);
+                break;
+             with
+                await KILL;
+                k = k + 1;
+                kills = kills + 1;
+                _printf("killed %d\n", kills);
+             end
+          end
+       end
+    with
+       await STOP;
+       return done * 100 + kills;
+    end
+)";
+
+std::string repeat(const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+}
+
+TEST(AsyncTable, RespawnsKeepTheEngineSnapshotBounded) {
+    // Interpreter only (no C compiler): a member that respawns one async
+    // block reuses its table slots, so its CEUENG01 blob does not grow with
+    // the number of spawns.
+    auto cp = compile_shared(kRespawn);
+    auto blob_after = [&](int gos) {
+        host::Instance inst(cp);
+        inst.boot();
+        for (int i = 0; i < gos; ++i) {
+            inst.inject("GO");
+            inst.settle();
+        }
+        std::vector<uint8_t> blob;
+        inst.engine().save(blob);
+        inst.inject("STOP");
+        EXPECT_EQ(inst.result().as_int(), 10 * gos);
+        return blob.size();
+    };
+    EXPECT_EQ(blob_after(10), blob_after(1000));
+}
+
 // -- the Instance facade over a compiled context ------------------------------
 
 env::Script make_script(const std::string& text) {
@@ -250,14 +315,16 @@ TEST(AotInstance, TracesMatchTheInterpreterByteForByte) {
     SKIP_WITHOUT_CC();
     struct Case {
         const char* source;
-        const char* script;
+        std::string script;
         int64_t result;
     };
     const Case cases[] = {
         {kBusy, "T 35000\nA\nT 10000\nE STOP 0\n", 4},
         {kRespawn,
          "E GO 0\nA\nE GO 0\nA\nE GO 0\nA\nE GO 0\nA\nE GO 0\nA\nE STOP 0\n", 50},
+        {kRespawn, repeat("E GO 0\nA\n", 1000) + "E STOP 0\n", 10'000},
         {kEmitRespawn, "E GO 0\nA\nE START 0\nA\nE STOP 0\n", 70},
+        {kKillRespawn, repeat("E GO 0\nA\n", 5) + "E STOP 0\n", 50 * 100 + 10},
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(c.source);

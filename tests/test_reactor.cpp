@@ -403,6 +403,121 @@ TEST(Reactor, MixedBackendFleetIsIdenticalAt1_2_8Workers) {
     EXPECT_FALSE(w1.traces[1].empty());
 }
 
+/// Respawns one async block on every GO, so its bounded table compacts every
+/// other spawn; ADD 0 trips a fault (the lever both backends share), so
+/// Restore-policy members reload checkpoints taken between respawns.
+constexpr const char* kRespawner = R"(
+    input int ADD;
+    input void GO, STOP;
+    int done = 0;
+    int v = 0;
+    par do
+       loop do
+          await GO;
+          int r = async do
+             int i = 0;
+             loop do
+                i = i + 1;
+                if i == 4 then break; end
+             end
+             return i;
+          end;
+          done = done + r;
+          _printf("done %d\n", done);
+       end
+    with
+       loop do
+          v = await ADD;
+          if v == 0 then
+             _ceu_trip();
+          end;
+       end
+    with
+       await STOP;
+       return done;
+    end
+)";
+
+/// A supervised fleet of respawning members, every odd one compiled when
+/// `h` is set. A step is three reactions (GO, ADD, the async's end) and a
+/// checkpoint is taken every two, so checkpoints land, and restores load
+/// tables, both with a live context and with only dead ones.
+FleetRun run_respawning_fleet(size_t workers, const aot::ProgramHandle* h) {
+    reactor::ReactorConfig rc;
+    rc.workers = workers;
+    rc.seed = 7;
+    rc.collect_traces = true;
+    rc.supervise.restart = reactor::SupervisorPolicy::Restart::Restore;
+    rc.supervise.backoff_initial_ticks = 1;
+    rc.supervise.checkpoint_every = 2;
+    reactor::Reactor r(rc);
+
+    auto cp = compile_shared(kRespawner);
+    constexpr size_t kFleet = 24;
+    for (size_t i = 0; i < kFleet; ++i) {
+        host::Config hc;
+        hc.engine = rc.engine;  // trap faults, as add_instance(cp) would
+        if (h != nullptr && i % 2 == 1) hc.aot = *h;
+        r.add_instance(cp, hc);
+    }
+    r.boot();
+
+    for (int step = 0; step < 12; ++step) {
+        for (size_t i = 0; i < kFleet; ++i) {
+            auto id = static_cast<reactor::InstanceId>(i);
+            r.inject(id, "GO");
+            bool trip = (i + static_cast<size_t>(step)) % 5 == 0;
+            r.inject(id, "ADD", rt::Value::integer(trip ? 0 : step + 1));
+        }
+        r.drain();
+        for (Micros due = r.next_restart_due(); due >= 0; due = r.next_restart_due()) {
+            r.advance(due - r.now());
+            r.drain();
+        }
+    }
+    for (size_t i = 0; i < kFleet; ++i) {
+        r.inject(static_cast<reactor::InstanceId>(i), "STOP");
+    }
+    r.drain();
+
+    FleetRun out;
+    for (size_t i = 0; i < kFleet; ++i) {
+        out.traces.push_back(r.instance(static_cast<reactor::InstanceId>(i)).trace_text());
+    }
+    obs::ProcessStats st = r.fleet_stats();
+    st.clear_measured();
+    out.stats_json = st.to_json();
+    return out;
+}
+
+TEST(Reactor, RespawningAsyncFleetIsIdenticalAt1_2_8WorkersUnderCheckpoints) {
+    aot::ProgramHandle h;
+    if (aot::toolchain_available()) {
+        std::string err;
+        h = aot::FleetImage::build_one(compile_shared(kRespawner), {}, &err);
+        ASSERT_TRUE(h) << err;
+    }
+    // Interpreted only, then (with a C compiler) every odd member compiled.
+    std::vector<const aot::ProgramHandle*> variants = {nullptr};
+    if (h) variants.push_back(&h);
+    for (const aot::ProgramHandle* img : variants) {
+        SCOPED_TRACE(img == nullptr ? "interpreted" : "mixed backends");
+        FleetRun w1 = run_respawning_fleet(1, img);
+        FleetRun w2 = run_respawning_fleet(2, img);
+        FleetRun w8 = run_respawning_fleet(8, img);
+        for (size_t i = 0; i < w1.traces.size(); ++i) {
+            EXPECT_EQ(w1.traces[i], w2.traces[i]) << "instance " << i << " (2 workers)";
+            EXPECT_EQ(w1.traces[i], w8.traces[i]) << "instance " << i << " (8 workers)";
+        }
+        EXPECT_EQ(w1.stats_json, w2.stats_json);
+        EXPECT_EQ(w1.stats_json, w8.stats_json);
+        // Checkpoints were taken and restored from, and members respawned.
+        EXPECT_EQ(w1.stats_json.find("\"restores\":0"), std::string::npos);
+        EXPECT_EQ(w1.stats_json.find("\"checkpoints\":0"), std::string::npos);
+        EXPECT_NE(w1.traces[0].find("done 4\n"), std::string::npos);
+    }
+}
+
 TEST(Reactor, ConcurrentInjectAndRetireRaceCompiledMembersSafely) {
     if (!aot::toolchain_available()) GTEST_SKIP() << "no host C compiler";
     // The TSan gate for the compiled path: producer threads hammer inject

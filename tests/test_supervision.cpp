@@ -238,6 +238,147 @@ TEST(Checkpoint, RejectsTruncatedAndCorruptedBlobs) {
     EXPECT_THROW(b.inst.load(bad), rt::snap::SnapshotError);
 }
 
+/// Two async blocks whose round-robin interleaving shows in the trace, run
+/// again on every GO.
+constexpr const char* kTwoAsyncs = R"(
+    input void GO, STOP;
+    int rounds = 0;
+    par do
+       loop do
+          await GO;
+          par/and do
+             async do
+                int i = 0;
+                loop do
+                   i = i + 1;
+                   _printf("a %d\n", i);
+                   if i == 3 then break; end
+                end
+             end;
+          with
+             async do
+                int j = 0;
+                loop do
+                   j = j + 1;
+                   _printf("b %d\n", j);
+                   if j == 3 then break; end
+                end
+             end;
+          end
+          rounds = rounds + 1;
+          _printf("round %d\n", rounds);
+       end
+    with
+       await STOP;
+       return rounds;
+    end
+)";
+
+/// Hand-edits the async section of an rt::Engine::save() blob. That section
+/// is the blob's tail: a u32 count, then 17-byte contexts (i64 index, i64
+/// pc, u8 alive). The round-robin cursor is a u64 at byte 101 while the
+/// engine has no fault and an integer result (magic, fingerprint, two
+/// option bytes, status, fault flag, tagged result, nine 8-byte clocks and
+/// counters before it).
+struct EngineBlob {
+    static constexpr size_t kCtx = 17;
+    static constexpr size_t kCursorAt = 101;
+    std::vector<uint8_t> head;               // everything before the count
+    std::vector<std::vector<uint8_t>> ctxs;  // the contexts, in table order
+
+    EngineBlob(const std::vector<uint8_t>& blob, size_t n_ctxs) {
+        size_t at = blob.size() - 4 - n_ctxs * kCtx;
+        head.assign(blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(at));
+        EXPECT_EQ(blob[at], n_ctxs);
+        for (size_t i = 0; i < n_ctxs; ++i) {
+            auto b = blob.begin() + static_cast<std::ptrdiff_t>(at + 4 + i * kCtx);
+            ctxs.emplace_back(b, b + kCtx);
+        }
+    }
+    [[nodiscard]] uint64_t cursor() const {
+        uint64_t v = 0;
+        for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(head[kCursorAt + i]) << (8 * i);
+        return v;
+    }
+    [[nodiscard]] std::vector<uint8_t> with(uint64_t rr,
+                                            const std::vector<std::vector<uint8_t>>& table) const {
+        std::vector<uint8_t> out = head;
+        for (int i = 0; i < 8; ++i) out[kCursorAt + i] = static_cast<uint8_t>(rr >> (8 * i));
+        rt::snap::ByteWriter w(out);
+        w.u32(static_cast<uint32_t>(table.size()));
+        for (const auto& c : table) w.bytes(c.data(), c.size());
+        return out;
+    }
+    static std::vector<uint8_t> dead(std::vector<uint8_t> ctx) {
+        ctx.back() = 0;
+        return ctx;
+    }
+};
+
+TEST(Checkpoint, LoadDropsDeadAsyncContextsAndRefusesExtraLiveOnes) {
+    // The uninterrupted run: one slice of `a`, then the cursor points at `b`.
+    host::Instance ref((std::string(kTwoAsyncs)));
+    ref.boot();
+    ref.inject("GO");
+    ref.step_async();
+    std::vector<uint8_t> blob;
+    ref.engine().save(blob);
+    const size_t mark = ref.trace().size();
+    ref.settle();
+    for (int i = 0; i < 3; ++i) {
+        ref.inject("GO");
+        ref.settle();
+    }
+    ref.inject("STOP");
+    const std::vector<std::string> suffix(
+        ref.trace().begin() + static_cast<std::ptrdiff_t>(mark), ref.trace().end());
+    ASSERT_EQ(ref.result().as_int(), 4);
+
+    EngineBlob eb(blob, 2);
+    ASSERT_EQ(eb.cursor(), 1u);
+    const std::vector<uint8_t>& a = eb.ctxs[0];
+    const std::vector<uint8_t>& b = eb.ctxs[1];
+    const std::vector<uint8_t> dead = EngineBlob::dead(a);
+
+    // Padded the way an engine that never compacted saved its table: dead
+    // contexts before, between and after the live ones (a thousand at the
+    // tail), the cursor still just past `a`. Load keeps only `a` and `b`,
+    // remaps the cursor onto them, and the engine replays the same suffix.
+    std::vector<std::vector<uint8_t>> padded = {dead, a, dead, dead, b};
+    padded.insert(padded.end(), 1000, dead);
+    FreshProcess p(kTwoAsyncs);
+    p.inst.engine().load(eb.with(2, padded));
+    std::vector<uint8_t> resaved;
+    p.inst.engine().save(resaved);
+    EXPECT_EQ(resaved, blob);  // the table is back to its two live contexts
+    p.inst.settle();
+    for (int i = 0; i < 3; ++i) {
+        p.inst.inject("GO");
+        p.inst.settle();
+    }
+    p.inst.inject("STOP");
+    EXPECT_EQ(p.inst.trace(), suffix);
+    EXPECT_EQ(p.inst.result().as_int(), 4);
+
+    // More live contexts than the program has async blocks, two live ones
+    // of one block, or a cursor past the table: refused, target untouched.
+    FreshProcess q(kTwoAsyncs);
+    q.inst.boot();
+    q.inst.inject("GO");
+    std::vector<uint8_t> before;
+    q.inst.engine().save(before);
+    for (const std::vector<uint8_t>& bad :
+         {eb.with(1, {a, b, a}), eb.with(1, {a, dead, a}), eb.with(3, {a, b})}) {
+        EXPECT_THROW(q.inst.engine().load(bad), rt::snap::SnapshotError);
+        std::vector<uint8_t> after;
+        q.inst.engine().save(after);
+        EXPECT_EQ(after, before);
+    }
+    q.inst.settle();
+    q.inst.inject("STOP");
+    EXPECT_EQ(q.inst.result().as_int(), 1);
+}
+
 // Conformance-harness round trips: for seeded generated programs, snapshot
 // at every k-th script item, restore into a fresh process, replay the
 // remaining suffix, and require the remaining trace byte-identical to the
