@@ -256,12 +256,6 @@ class Instance {
     /// swung ~1.7 KB with allocator caching across worker counts.
     [[nodiscard]] size_t state_bytes() const;
 
-    /// Toggles the per-reaction steady-clock sampling behind wall_ns (on
-    /// by default; see obs::Recorder::set_timing_enabled). Fleets turn it
-    /// off: two clock_gettime calls per reaction are pure overhead when
-    /// only deterministic counters are wanted.
-    void set_reaction_timing(bool on) { recorder_.set_timing_enabled(on); }
-
   private:
     void init(Config& cfg);
     void arm_recorder();

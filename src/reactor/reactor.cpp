@@ -52,9 +52,6 @@ void pin_self_to_allowed_cpu(size_t idx) {
 
 Reactor::Reactor(ReactorConfig cfg)
     : cfg_(cfg), shards_(std::max<size_t>(1, cfg.workers)) {
-    for (Shard& sh : shards_) {
-        sh.wheel.reset(kTimerGranularity, &sh.wheel_arena);
-    }
     if (shards_.size() > 1) {
         threads_.reserve(shards_.size());
         for (size_t i = 0; i < shards_.size(); ++i) {
@@ -95,8 +92,8 @@ void Reactor::check_id(InstanceId id) const {
     }
 }
 
-InstanceId Reactor::add_slot(std::shared_ptr<const flat::CompiledProgram> cp,
-                             host::Config hcfg) {
+InstanceId Reactor::add_instance(std::shared_ptr<const flat::CompiledProgram> cp,
+                                 host::Config hcfg) {
     size_t idx = published_.load(std::memory_order_relaxed);
     if (idx >= kMaxChunks * kChunkSize) {
         throw std::length_error("reactor: instance table full");
@@ -108,12 +105,13 @@ InstanceId Reactor::add_slot(std::shared_ptr<const flat::CompiledProgram> cp,
         chunks_[c].store(chunk, std::memory_order_release);
     }
     Slot& sl = chunk[idx & kChunkMask];
+    hcfg.engine = cfg_.engine;
     hcfg.collect_trace = cfg_.collect_traces;
     sl.inst = std::make_unique<host::Instance>(std::move(cp), hcfg);
     if (cfg_.observe_stats) sl.inst->observe_stats();
     // Per-reaction wall-clock sampling is two clock_gettime calls — ~10%
     // of a small interpreted reaction — for numbers no fleet reads.
-    sl.inst->set_reaction_timing(false);
+    sl.inst->recorder().set_timing_enabled(false);
     sl.policy = cfg_.supervise;
     InstanceId id = static_cast<InstanceId>(idx);
     Shard& sh = shards_[id % shards_.size()];
@@ -123,17 +121,6 @@ InstanceId Reactor::add_slot(std::shared_ptr<const flat::CompiledProgram> cp,
     // injector that reads the new size (acquire) sees a complete slot.
     published_.store(idx + 1, std::memory_order_release);
     return id;
-}
-
-InstanceId Reactor::add_instance(std::shared_ptr<const flat::CompiledProgram> cp) {
-    host::Config hcfg;
-    hcfg.engine = cfg_.engine;
-    return add_slot(std::move(cp), hcfg);
-}
-
-InstanceId Reactor::add_instance(std::shared_ptr<const flat::CompiledProgram> cp,
-                                 host::Config hcfg) {
-    return add_slot(std::move(cp), hcfg);
 }
 
 void Reactor::retire(InstanceId id) {
@@ -193,7 +180,7 @@ void Reactor::boot_shard(Shard& sh) {
         }
     }
     sh.work_left = !sh.async_live.empty() || shard_has_due_restart(sh) ||
-                   (sh.wheel.next_deadline() >= 0 && sh.wheel.next_deadline() <= now_);
+                   (sh.timers.next_deadline() >= 0 && sh.timers.next_deadline() <= now_);
 }
 
 // -- inputs -------------------------------------------------------------------
@@ -346,7 +333,7 @@ void Reactor::restart_member(InstanceId id, Shard& sh) {
     ++sl.sup.supervised_restarts;
     sl.sup.fault_open = false;
     sl.sup.next_checkpoint_at = 0;  // cadence restarts from the new state
-    sl.indexed_deadline = -1;       // wheel entries from the old life are stale
+    sl.indexed_deadline = -1;       // timer entries from the old life are stale
     sh.local_ops.clear();
     after_reaction(id, sl, sh.local_ops);
     apply_ops(sh, id, sh.local_ops);
@@ -362,7 +349,7 @@ void Reactor::restart(InstanceId id) {
     sl.booted = true;
     sl.sup.fault_open = false;
     sl.sup.next_checkpoint_at = 0;
-    sl.indexed_deadline = -1;  // wheel entries from the old life are stale
+    sl.indexed_deadline = -1;  // timer entries from the old life are stale
     sh.local_ops.clear();
     after_reaction(id, sl, sh.local_ops);
     apply_ops(sh, id, sh.local_ops);
@@ -381,8 +368,8 @@ void Reactor::after_reaction(InstanceId id, Slot& sl, std::vector<DeferredOp>& o
     const host::Instance& inst = *sl.inst;
     if (inst.status() == rt::Engine::Status::Faulted) {
         // Parked (or awaiting its scheduled restart): a Faulted engine
-        // ignores go_time/go_event, so keeping its deadline in the wheel
-        // would make the shard re-collect a dead entry every round.
+        // ignores go_time/go_event, so keeping its deadline indexed would
+        // make the shard re-collect a dead entry every round.
         if (!sl.sup.fault_open) on_member_fault(id, sl, ops);
         return;
     }
@@ -398,7 +385,7 @@ void Reactor::after_reaction(InstanceId id, Slot& sl, std::vector<DeferredOp>& o
     }
     Micros d = inst.next_timer_deadline();
     if (d >= 0 && d != sl.indexed_deadline) {
-        ops.push_back({DeferredOp::Kind::Wheel, d});
+        ops.push_back({DeferredOp::Kind::Timer, d});
         sl.indexed_deadline = d;
     }
     if (!sl.async_listed && inst.status() == rt::Engine::Status::Running &&
@@ -411,8 +398,8 @@ void Reactor::after_reaction(InstanceId id, Slot& sl, std::vector<DeferredOp>& o
 void Reactor::apply_ops(Shard& sh, InstanceId id, const std::vector<DeferredOp>& ops) {
     for (const DeferredOp& op : ops) {
         switch (op.kind) {
-            case DeferredOp::Kind::Wheel:
-                sh.wheel.schedule(id, op.at);
+            case DeferredOp::Kind::Timer:
+                sh.timers.schedule(id, op.at);
                 break;
             case DeferredOp::Kind::AsyncList:
                 sh.async_live.push_back(id);
@@ -548,7 +535,7 @@ void Reactor::run_shard_round(Shard& sh) {
     // Phase 0: supervised restarts whose backoff expired by the fleet
     // instant, in (due, instance) order — a pure function of the fault
     // history, independent of worker layout. Shard-owned: restarts touch
-    // the wheel and agenda directly and are rare by construction.
+    // the timers and agenda directly and are rare by construction.
     if (!sh.agenda.empty()) {
         sh.due_restarts.clear();
         for (size_t i = 0; i < sh.agenda.size();) {
@@ -615,13 +602,13 @@ void Reactor::run_shard_round(Shard& sh) {
     }
     lap(1);
 
-    // Phase 2: timers. Candidates come out sorted by (deadline, instance);
+    // Phase 2: timers. Candidates come out in (deadline, instance) order;
     // stale ones (engine re-armed or disarmed since indexing) reduce to a
-    // no-op sync plus a re-index. Shard-owned: wheel pops are not worth a
-    // claim protocol, and the wheel itself is owner-only state.
+    // no-op sync plus a re-index. Shard-owned: heap pops are not worth a
+    // claim protocol, and the heap itself is owner-only state.
     sh.due.clear();
-    sh.wheel.collect_due(now_, sh.due);
-    for (const FleetTimerWheel::Due& d : sh.due) {
+    sh.timers.collect_due(now_, sh.due);
+    for (const FleetTimers::Due& d : sh.due) {
         Slot& sl = slot(d.instance);
         if (sl.indexed_deadline == d.deadline) sl.indexed_deadline = -1;
         if (!sl.booted || sl.retired.load(std::memory_order_relaxed)) continue;
@@ -653,7 +640,7 @@ void Reactor::run_shard_round(Shard& sh) {
     lap(3);
 
     sh.work_left = !sh.async_live.empty() || shard_has_due_restart(sh) ||
-                   (sh.wheel.next_deadline() >= 0 && sh.wheel.next_deadline() <= now_);
+                   (sh.timers.next_deadline() >= 0 && sh.timers.next_deadline() <= now_);
 }
 
 // -- worker pool --------------------------------------------------------------
@@ -746,7 +733,7 @@ obs::ProcessStats Reactor::fleet_stats() const {
     for (const Shard& sh : shards_) {
         total.steals += sh.steals.load(std::memory_order_relaxed);
         total.steal_failures += sh.steal_failures.load(std::memory_order_relaxed);
-        total.arena_bytes += sh.pool.reserved_bytes() + sh.wheel_arena.reserved_bytes();
+        total.arena_bytes += sh.pool.reserved_bytes();
         for (size_t k = 0; k < sh.phase_ns.size(); ++k) {
             total.phase_ns[k] += sh.phase_ns[k];
         }

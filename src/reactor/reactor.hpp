@@ -6,7 +6,7 @@
 //
 // Sharding. Instances are dealt round-robin to `workers` shards (shard =
 // id % workers). Each shard owns its members exclusively: a per-shard run
-// queue (the drained mailbox batch), a per-shard FleetTimerWheel indexing
+// queue (the drained mailbox batch), a per-shard FleetTimers heap indexing
 // its members' earliest deadlines, a per-shard async-live list, and a
 // per-shard restart agenda. Workers never touch another shard's instances,
 // so rounds need no locking beyond the start/finish barrier.
@@ -21,10 +21,10 @@
 //                global injection ticket, and deliver each envelope after
 //                lazily syncing the target's clock to the fleet instant
 //                (due timers fire first, as they would have in real time);
-//   2. timers  — collect due candidates from the fleet wheel, sorted by
-//                (deadline, instance); stale candidates (the engine re- or
-//                dis-armed since indexing) are dropped by re-checking the
-//                engine's actual next deadline;
+//   2. timers  — pop due candidates off the shard's timer heap in
+//                (deadline, instance) order; stale candidates (the engine
+//                re- or dis-armed since indexing) are dropped by
+//                re-checking the engine's actual next deadline;
 //   3. asyncs  — give every async-live member a bounded number of slices,
 //                in the shard's seeded schedule order.
 //
@@ -78,7 +78,7 @@
 
 #include "host/instance.hpp"
 #include "reactor/arena.hpp"
-#include "reactor/fleet_wheel.hpp"
+#include "reactor/fleet_timers.hpp"
 #include "reactor/mailbox.hpp"
 #include "reactor/steal.hpp"
 #include "reactor/supervise.hpp"
@@ -86,8 +86,8 @@
 
 namespace ceu::reactor {
 
-/// Level-0 tick width of the per-shard fleet timer wheels; also the unit
-/// supervision backoff is measured in.
+/// Width of one supervision tick in µs: backoff delays and fault windows
+/// (SupervisorPolicy::*_ticks) are measured in it.
 constexpr Micros kTimerGranularity = 1024;
 
 struct ReactorConfig {
@@ -118,9 +118,10 @@ struct ReactorConfig {
     /// The default default is Park — identical to the pre-supervision
     /// reactor.
     SupervisorPolicy supervise;
-    /// Engine options for instances added without an explicit host config.
-    /// trap_faults defaults on: a fleet must contain a member's dynamic
-    /// error (the engine parks Faulted), not unwind a worker thread.
+    /// Engine options for every member (add_instance overrides the
+    /// member's host::Config::engine with these). trap_faults defaults on:
+    /// a fleet must contain a member's dynamic error (the engine parks
+    /// Faulted), not unwind a worker thread.
     rt::EngineOptions engine = [] {
         rt::EngineOptions o;
         o.trap_faults = true;
@@ -144,12 +145,12 @@ class Reactor {
     /// The compiled program is co-owned, never copied: fleet memory scales
     /// with per-instance *state*, not code. Safe while other threads
     /// inject(): the new slot is published to them atomically.
-    InstanceId add_instance(std::shared_ptr<const flat::CompiledProgram> cp);
-    /// Same, with an explicit per-instance host config (extra bindings,
-    /// engine knobs). cfg.collect_trace is still forced by the reactor's
-    /// collect_traces switch so trace policy stays fleet-uniform.
+    /// `hcfg` carries what is per member: extra bindings and the AOT
+    /// handle. Engine options and trace collection are fleet-wide:
+    /// ReactorConfig::engine and collect_traces replace hcfg.engine and
+    /// hcfg.collect_trace.
     InstanceId add_instance(std::shared_ptr<const flat::CompiledProgram> cp,
-                            host::Config hcfg);
+                            host::Config hcfg = {});
 
     /// Boots every not-yet-booted instance (shard-parallel, seeded order).
     /// Callable again after adding more instances: only new ones boot.
@@ -267,17 +268,18 @@ class Reactor {
     /// independent of worker count.
     [[nodiscard]] obs::ProcessStats fleet_stats() const;
 
-    /// Last escaped error for `id` (empty if none). Only reachable when an
-    /// instance runs with trap_faults off and a dynamic error unwinds a
-    /// delivery — the reactor catches it at the shard boundary (a fleet
-    /// member's fault must never take down a worker thread), records it
-    /// here, and carries on with the rest of the shard.
+    /// Last escaped error for `id` (empty if none). Only reachable when the
+    /// fleet runs with trap_faults off (ReactorConfig::engine) and a
+    /// dynamic error unwinds a delivery — the reactor catches it at the
+    /// shard boundary (a fleet member's fault must never take down a
+    /// worker thread), records it here, and carries on with the rest of
+    /// the shard.
     [[nodiscard]] const std::string& error(InstanceId id) const;
 
   private:
     struct alignas(64) Slot {
         std::unique_ptr<host::Instance> inst;
-        Micros indexed_deadline = -1;  // deadline currently in the wheel
+        Micros indexed_deadline = -1;  // deadline currently in the timer heap
         bool async_listed = false;     // member of its shard's async_live
         bool booted = false;
         std::string error;             // first escaped rt::RuntimeError
@@ -298,14 +300,14 @@ class Reactor {
 
     /// Shard-structure mutation deferred out of a work item's execution:
     /// executing a stolen item may run on any worker, but the victim
-    /// shard's wheel/async-list/agenda are owner-only, so executors record
+    /// shard's timers/async-list/agenda are owner-only, so executors record
     /// intents and the owner applies them in the shard's fixed item order.
     /// That order equals the 1-worker order, which is what keeps stealing
     /// inside the determinism contract.
     struct DeferredOp {
-        enum class Kind : uint8_t { Wheel, AsyncList, Agenda };
+        enum class Kind : uint8_t { Timer, AsyncList, Agenda };
         Kind kind;
-        Micros at = 0;  // Wheel: deadline; Agenda: due instant
+        Micros at = 0;  // Timer: deadline; Agenda: due instant
     };
 
     /// One stealable unit of round work: all of one instance's envelopes
@@ -321,12 +323,12 @@ class Reactor {
 
     struct alignas(64) Shard {
         Mailbox mailbox;
-        FleetTimerWheel wheel{1024};
+        FleetTimers timers;
         std::vector<InstanceId> members;
         std::vector<InstanceId> schedule;     // seeded visit order
         bool schedule_dirty = false;
         std::vector<Envelope*> drained;       // round scratch
-        std::vector<FleetTimerWheel::Due> due;
+        std::vector<FleetTimers::Due> due;
         std::vector<InstanceId> async_live;
         std::vector<InstanceId> async_scratch;
         std::vector<RestartDue> agenda;       // pending supervised restarts
@@ -336,9 +338,6 @@ class Reactor {
         // Envelope memory: producers allocate here (inject), executors —
         // owner or thief — free here. Slab-backed, byte-exact accounting.
         ObjectPool<Envelope> pool;
-        // Owner-thread-only arena backing the wheel's bucket storage (the
-        // pool's arena is under the pool's lock and can't be shared).
-        ShardArena wheel_arena;
 
         // Stealable-phase state. items/ops/done are indexed by the deque's
         // published indices; they are (re)sized only while the deque is
@@ -379,8 +378,6 @@ class Reactor {
     }
     void check_id(InstanceId id) const;
 
-    InstanceId add_slot(std::shared_ptr<const flat::CompiledProgram> cp,
-                        host::Config hcfg);
     void dispatch(Cmd cmd);
     void worker_main(size_t shard_idx);
     void boot_shard(Shard& sh);
@@ -391,7 +388,7 @@ class Reactor {
     void sync_clock(Slot& sl);
     /// Post-reaction bookkeeping: detect fresh faults (and record their
     /// supervised restart), take due checkpoints, record the engine's next
-    /// deadline for wheel re-indexing, record async (re-)listing. The
+    /// deadline for timer re-indexing, record async (re-)listing. The
     /// instance-local half runs inline (whoever executes the reaction owns
     /// the slot); the shard-structure half is returned in `ops` for the
     /// owner to apply in item order (apply_ops).

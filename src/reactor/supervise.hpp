@@ -4,8 +4,9 @@
 // the sharded reactor originally just *parked* a faulted member forever.
 // This module supplies the recovery vocabulary: per-instance policies
 // (park / reboot-from-boot / restore-from-checkpoint), deterministic
-// seeded exponential backoff measured in fleet-wheel ticks, and a
-// quarantine rule for members that fault repeatedly within a window.
+// seeded exponential backoff measured in supervision ticks
+// (kTimerGranularity µs each), and a quarantine rule for members that
+// fault repeatedly within a window.
 //
 // Determinism. Every decision here is a pure function of (policy, seed,
 // instance id, fault ordinal, fleet instant) — never of worker count,
@@ -35,7 +36,7 @@ struct SupervisorPolicy {
     };
     Restart restart = Restart::Park;
 
-    /// Backoff before the k-th consecutive restart, in fleet-wheel ticks
+    /// Backoff before the k-th consecutive restart, in supervision ticks
     /// (tick = kTimerGranularity µs): delay doubles per fault, clamped to
     /// backoff_max_ticks.
     uint64_t backoff_initial_ticks = 1;
@@ -67,7 +68,7 @@ struct MemberState {
     bool quarantined = false;
     bool fault_open = false;           ///< current fault awaiting a restart
 
-    /// Fault instants (in fleet-wheel ticks) inside the rolling window;
+    /// Fault instants (in supervision ticks) inside the rolling window;
     /// pruned by note_fault.
     std::vector<uint64_t> recent_fault_ticks;
 
@@ -91,7 +92,7 @@ struct RestartDue {
                                       InstanceId id, uint64_t fault_ordinal,
                                       Micros tick_us);
 
-/// Records a fault at fleet-wheel tick `tick` into the member's rolling
+/// Records a fault at supervision tick `tick` into the member's rolling
 /// window and returns how many faults the window now holds (including this
 /// one). The quarantine rule compares the result to quarantine_after.
 size_t note_fault_tick(MemberState& m, const SupervisorPolicy& p, uint64_t tick);

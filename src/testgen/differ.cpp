@@ -157,10 +157,10 @@ struct AotRun {
 /// AOT-in-reactor leg: the re-entrant cgen emission compiled to a .so,
 /// loaded, and driven through a 1-member Reactor with the same script
 /// semantics as run_interp — every delivery crosses the fleet machinery
-/// (mailbox + ticket order, fleet timer wheel, after-reaction re-indexing),
+/// (mailbox + ticket order, fleet timer heap, after-reaction re-indexing),
 /// so this leg checks the descriptor ABI *and* the reactor's compiled-member
 /// plumbing at once. Intermediate go_time instants the interpreter sees may
-/// be elided here (the wheel only syncs members with due work); that is
+/// be elided here (the heap only syncs members with due work); that is
 /// trace-transparent because timers fire per expired deadline group with
 /// logical timestamps, not per go_time call.
 AotRun run_aot(const std::shared_ptr<const flat::CompiledProgram>& cp,

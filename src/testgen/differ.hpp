@@ -8,7 +8,7 @@
 //   * the AOT backend: the re-entrant cgen emission compiled into a shared
 //     object, dlopen'd, and driven *inside a 1-member reactor::Reactor* —
 //     exercising the whole compiled-fleet path (descriptor entry points,
-//     host-api trace routing, fleet timer wheel indexing) in-process,
+//     host-api trace routing, fleet timer indexing) in-process,
 //
 // and the observable traces are compared against what the temporal
 // analysis (dfa/) promised. The modular partition-and-compose verdict is

@@ -2,25 +2,84 @@
 // worker counts is the headline contract — per-instance traces must be
 // byte-identical and the aggregated fleet stats identical whether the
 // fleet runs inline (1 worker) or sharded over a pool (2, 8 workers).
-// Also covers the fleet timer wheel, the lock-free mailbox under
+// Also covers the fleet timer index, the lock-free mailbox under
 // concurrent producers, fault containment, and the shared-program paths
 // (host::Instance fleet ctor, CeuMoteConfig::program).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "aot/aot.hpp"
 #include "codegen/flatten.hpp"
-#include "reactor/fleet_wheel.hpp"
+#include "reactor/fleet_timers.hpp"
 #include "reactor/mailbox.hpp"
 #include "reactor/reactor.hpp"
 #include "reactor/steal.hpp"
 #include "wsn/network.hpp"
 #include "wsn/tinyos_binding.hpp"
+
+// -- global-allocator meter ---------------------------------------------------
+// Every form of ::operator new/delete is replaced, so a test can count the
+// bytes any thread takes from the global allocator while g_alloc_armed is
+// set. Replacing all of them (not just the plain pair) keeps sanitizer
+// runtimes from freeing memory this meter handed out, or the reverse.
+namespace {
+std::atomic<bool> g_alloc_armed{false};
+std::atomic<uint64_t> g_alloc_bytes{0};
+
+void* counted_alloc(std::size_t n, std::size_t align) noexcept {
+    if (g_alloc_armed.load(std::memory_order_relaxed)) {
+        g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+    }
+    if (n == 0) n = 1;
+    if (align <= alignof(std::max_align_t)) return std::malloc(n);
+    void* p = nullptr;
+    return posix_memalign(&p, align, n) == 0 ? p : nullptr;
+}
+
+void* counted_new(std::size_t n, std::size_t align = 0) {
+    void* p = counted_alloc(n, align);
+    if (p == nullptr) throw std::bad_alloc();
+    return p;
+}
+
+std::size_t al(std::align_val_t a) { return static_cast<std::size_t>(a); }
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, std::align_val_t a) { return counted_new(n, al(a)); }
+void* operator new[](std::size_t n, std::align_val_t a) { return counted_new(n, al(a)); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n, 0); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
+    return counted_alloc(n, al(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
+    return counted_alloc(n, al(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+    std::free(p);
+}
 
 namespace {
 
@@ -81,10 +140,10 @@ constexpr const char* kAsyncSum = R"(
     return r;
 )";
 
-// -- FleetTimerWheel ----------------------------------------------------------
+// -- FleetTimers --------------------------------------------------------------
 
 TEST(FleetWheel, CollectsDueSortedByDeadlineThenInstance) {
-    reactor::FleetTimerWheel w(1024);
+    reactor::FleetTimers w;
     w.schedule(3, 5000);
     w.schedule(1, 5000);
     w.schedule(2, 200);
@@ -92,7 +151,7 @@ TEST(FleetWheel, CollectsDueSortedByDeadlineThenInstance) {
     EXPECT_EQ(w.size(), 4u);
     EXPECT_EQ(w.next_deadline(), 200);
 
-    std::vector<reactor::FleetTimerWheel::Due> due;
+    std::vector<reactor::FleetTimers::Due> due;
     EXPECT_EQ(w.collect_due(100, due), 0u);  // before the minimum: O(1) no-op
     EXPECT_EQ(w.collect_due(5000, due), 3u);
     ASSERT_EQ(due.size(), 3u);
@@ -110,11 +169,11 @@ TEST(FleetWheel, CollectsDueSortedByDeadlineThenInstance) {
 }
 
 TEST(FleetWheel, SurvivesManyInstancesAndLargeJumps) {
-    reactor::FleetTimerWheel w(1024);
+    reactor::FleetTimers w;
     for (uint32_t i = 0; i < 10'000; ++i) {
         w.schedule(i, static_cast<Micros>(1 + (i % 97) * 1000));
     }
-    std::vector<reactor::FleetTimerWheel::Due> due;
+    std::vector<reactor::FleetTimers::Due> due;
     w.collect_due(1'000'000'000, due);  // one giant jump collects everything
     EXPECT_EQ(due.size(), 10'000u);
     EXPECT_TRUE(w.empty());
@@ -131,10 +190,10 @@ TEST(FleetWheel, RebasesEpochSoLateDeadlinesStaySpread) {
     // window many times over, scheduling as it goes. Expiry must stay
     // exact — every deadline collected at its own instant, never early,
     // never lost — across rebases.
-    reactor::FleetTimerWheel w(1024);
+    reactor::FleetTimers w;
     constexpr Micros kStep = 10 * kMs;
     Micros now = 0;
-    std::vector<reactor::FleetTimerWheel::Due> due;
+    std::vector<reactor::FleetTimers::Due> due;
     for (uint32_t round = 0; round < 2'000; ++round) {
         // Two fresh deadlines per round: one due next step, one far out.
         w.schedule(round, now + kStep);
@@ -150,6 +209,74 @@ TEST(FleetWheel, RebasesEpochSoLateDeadlinesStaySpread) {
     w.collect_due(now + 200 * kStep, due);
     EXPECT_TRUE(w.empty());
     EXPECT_EQ(due.size(), 99u);  // the last 99 far-out deadlines, still pending
+}
+
+TEST(FleetWheel, MatchesASortedVectorModel) {
+    // A seeded mix of operations against the plainest correct index: a
+    // vector sorted by (deadline, instance) on every collect. Instances
+    // come from a small range and pairs are re-scheduled verbatim, so
+    // duplicate (deadline, instance) pairs are common; deadlines include
+    // negative ones (clamped to 0), already-due ones and far-future ones,
+    // and the clock sometimes jumps by years.
+    using Due = reactor::FleetTimers::Due;
+    auto before = [](const Due& a, const Due& b) {
+        return a.deadline != b.deadline ? a.deadline < b.deadline : a.instance < b.instance;
+    };
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        auto pick = [&rng](uint64_t n) { return static_cast<int64_t>(rng() % n); };
+        reactor::FleetTimers w;
+        std::vector<Due> model;
+        std::vector<Due> scheduled;  // every pair ever scheduled, for repeats
+        std::vector<Due> got;
+        Micros now = 0;
+        for (int op = 0; op < 20'000; ++op) {
+            if (pick(10) < 7) {
+                Due d{0, static_cast<reactor::InstanceId>(pick(64))};
+                switch (pick(6)) {
+                    case 0: d.deadline = -1 - pick(1'000'000); break;
+                    case 1: d.deadline = now - pick(5 * kMs); break;
+                    case 2: d.deadline = now + pick(1'000'000 * kSec); break;
+                    case 3:
+                        if (!scheduled.empty()) {
+                            d = scheduled[static_cast<size_t>(pick(scheduled.size()))];
+                            break;
+                        }
+                        [[fallthrough]];
+                    default: d.deadline = now + pick(20 * kMs); break;
+                }
+                w.schedule(d.instance, d.deadline);
+                scheduled.push_back(d);
+                model.push_back({std::max<Micros>(d.deadline, 0), d.instance});
+            } else {
+                switch (pick(8)) {
+                    case 0: break;  // collect again at the same instant
+                    case 1: now += 3600 * kSec + pick(365LL * 24 * 3600 * kSec); break;
+                    default: now += pick(2 * kMs); break;
+                }
+                got.clear();
+                size_t n = w.collect_due(now, got);
+                std::sort(model.begin(), model.end(), before);
+                auto split = std::find_if(model.begin(), model.end(),
+                                          [now](const Due& d) { return d.deadline > now; });
+                std::vector<Due> want(model.begin(), split);
+                model.erase(model.begin(), split);
+                ASSERT_EQ(n, want.size()) << "op " << op;
+                ASSERT_EQ(got.size(), want.size()) << "op " << op;
+                for (size_t i = 0; i < want.size(); ++i) {
+                    ASSERT_EQ(got[i].deadline, want[i].deadline) << "op " << op << " #" << i;
+                    ASSERT_EQ(got[i].instance, want[i].instance) << "op " << op << " #" << i;
+                }
+            }
+            ASSERT_EQ(w.size(), model.size()) << "op " << op;
+            Micros want_next = -1;
+            for (const Due& d : model) {
+                if (want_next < 0 || d.deadline < want_next) want_next = d.deadline;
+            }
+            ASSERT_EQ(w.next_deadline(), want_next) << "op " << op;
+        }
+    }
 }
 
 // -- Mailbox ------------------------------------------------------------------
@@ -456,7 +583,6 @@ FleetRun run_respawning_fleet(size_t workers, const aot::ProgramHandle* h) {
     constexpr size_t kFleet = 24;
     for (size_t i = 0; i < kFleet; ++i) {
         host::Config hc;
-        hc.engine = rc.engine;  // trap faults, as add_instance(cp) would
         if (h != nullptr && i % 2 == 1) hc.aot = *h;
         r.add_instance(cp, hc);
     }
@@ -763,8 +889,7 @@ TEST(Reactor, SkewedFleetIsIdenticalAt1_2_8Workers) {
 
 TEST(Reactor, ArenaReservationStabilizesAfterWarmup) {
     // A warmed fleet's steady state must stop demanding memory: envelope
-    // cells recycle through the pool's free list and the timer wheel's
-    // bucket buffers recycle through its spare list, so the exact
+    // cells recycle through the pool's free list, so the exact
     // reserved-bytes gauge goes flat while rounds keep running.
     auto counter = compile_shared(kCounter);
     auto ticker = compile_shared(kTicker);
@@ -790,6 +915,71 @@ TEST(Reactor, ArenaReservationStabilizesAfterWarmup) {
     for (int i = 0; i < 40; ++i) one_round();
     EXPECT_EQ(r.fleet_stats().arena_bytes, warmed)
         << "steady-state rounds reserved new arena memory";
+}
+
+/// kTicker without its trace line: the interpreter still allocates an
+/// argument vector per C call, and the fleet below measures timer rounds.
+constexpr const char* kQuietTicker = R"(
+    input void STOP;
+    int n = 0;
+    par do
+       loop do
+          await 10ms;
+          n = n + 1;
+       end
+    with
+       await STOP;
+       return n;
+    end
+)";
+
+/// Bytes the global allocator handed out, in each of `windows` windows of
+/// `window` fleet time, to a warmed fleet of `kQuietTicker` members stepped
+/// 1.25 ms at a time. The members join in 8 cohorts one step apart, as
+/// in fleet-mix, so every step fires a different eighth of the fleet.
+std::vector<uint64_t> warm_ticker_alloc_bytes(size_t workers, Micros window,
+                                              int windows) {
+    constexpr size_t kFleet = 1024;
+    constexpr size_t kCohorts = 8;
+    constexpr Micros kStep = 10 * kMs / kCohorts;
+    reactor::ReactorConfig rc;
+    rc.workers = workers;
+    rc.engine.check_invariants = false;
+    reactor::Reactor r(rc);
+    auto ticker = compile_shared(kQuietTicker);
+    for (size_t k = 0; k < kCohorts; ++k) {
+        if (k > 0) r.advance(kStep);
+        for (size_t i = k; i < kFleet; i += kCohorts) r.add_instance(ticker);
+        r.boot();
+    }
+    while (r.now() < 2 * kSec) r.advance(kStep);  // warmup
+
+    std::vector<uint64_t> bytes;
+    for (int w = 0; w < windows; ++w) {
+        Micros end = r.now() + window;
+        g_alloc_bytes.store(0, std::memory_order_relaxed);
+        g_alloc_armed.store(true, std::memory_order_relaxed);
+        while (r.now() < end) r.advance(kStep);
+        g_alloc_armed.store(false, std::memory_order_relaxed);
+        bytes.push_back(g_alloc_bytes.load(std::memory_order_relaxed));
+    }
+    EXPECT_EQ(r.instance(0).status(), rt::Engine::Status::Running);
+    EXPECT_GT(r.fleet_stats().reactions, kFleet * 1000);  // the tickers ticked
+    return bytes;
+}
+
+TEST(Reactor, WarmTimerRoundsTakeNoGlobalAllocatorBytes) {
+    // Steady timer rounds re-arm every member's deadline in the shard's
+    // timer index; once warm, that must reuse memory the fleet already
+    // holds. Three 4 s windows after a 2 s warmup span 2..14 s of fleet
+    // time, so growth that only comes due after seconds of fleet time (an
+    // index rebuilding itself, a late buffer doubling) still shows.
+    for (size_t workers : {1u, 2u}) {
+        std::vector<uint64_t> bytes = warm_ticker_alloc_bytes(workers, 4 * kSec, 3);
+        for (size_t w = 0; w < bytes.size(); ++w) {
+            EXPECT_EQ(bytes[w], 0u) << workers << " worker(s), window " << w;
+        }
+    }
 }
 
 TEST(Reactor, FleetStatsCarrySchedulerSeries) {

@@ -438,6 +438,45 @@ TEST(Serve, SessionStatusTransitionsStream) {
     c.bye();
 }
 
+/// Adds 100 / v for every v: `ADD 0` is a dynamic error (division by zero).
+const char* const kDivider = R"(
+    input int ADD;
+    int total = 0;
+    int v = 0;
+    loop do
+       v = await ADD;
+       total = total + 100 / v;
+       _printf("total %d\n", total);
+    end
+)";
+
+TEST(Serve, FaultedSessionIsReportedAndTheOthersKeepServing) {
+    // A session's dynamic error is its own verdict: the client hears
+    // SessionStatus(Faulted) for it, and every other session keeps going.
+    Registry reg;
+    reg.add("divider", kDivider);
+    ServerGuard g({}, std::move(reg));
+    Client c;
+    c.connect(g.server.port(), "divider");
+    uint64_t bad = c.open();
+    uint64_t good = c.open();
+    Frame r = c.inject(bad, "ADD", 0);
+    EXPECT_EQ(r.verdict, static_cast<uint8_t>(reactor::Verdict::Accepted));
+    c.ping();
+    const std::vector<uint8_t>& st = c.statuses(bad);
+    ASSERT_FALSE(st.empty());
+    EXPECT_EQ(st.back(), static_cast<uint8_t>(rt::Engine::Status::Faulted));
+    EXPECT_EQ(c.trace_text(bad), "");
+
+    c.inject(good, "ADD", 5);
+    c.ping();
+    EXPECT_EQ(c.trace_text(good), "total 20\n");
+    ASSERT_FALSE(c.statuses(good).empty());
+    EXPECT_EQ(c.statuses(good).back(),
+              static_cast<uint8_t>(rt::Engine::Status::Running));
+    c.bye();
+}
+
 TEST(Serve, SpanStreamingOptIn) {
     ServerGuard g({});
     Client c;
