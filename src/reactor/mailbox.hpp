@@ -24,8 +24,23 @@
 
 namespace ceu::reactor {
 
-/// Fleet-wide dense instance id (index into the reactor's instance table).
-using InstanceId = uint32_t;
+/// Fleet-wide instance id: the member's slot in the reactor's instance
+/// table (low 32 bits) and the slot's generation (high 32 bits). Retiring
+/// a member frees its slot for a later add, under the next generation, so
+/// the generation tells a stale id from the slot's current member. Slots
+/// start at generation 0: until one is reused, ids are the dense slot
+/// indices 0..n-1.
+using InstanceId = uint64_t;
+
+[[nodiscard]] constexpr uint32_t instance_slot(InstanceId id) {
+    return static_cast<uint32_t>(id);
+}
+[[nodiscard]] constexpr uint32_t instance_generation(InstanceId id) {
+    return static_cast<uint32_t>(id >> 32);
+}
+[[nodiscard]] constexpr InstanceId make_instance_id(uint32_t slot, uint32_t generation) {
+    return (InstanceId{generation} << 32) | slot;
+}
 
 /// One external-event occurrence in flight from a producer thread to the
 /// instance's shard. `ticket` is the global injection ordinal: draining

@@ -12,14 +12,6 @@
 namespace ceu::reactor {
 
 namespace {
-uint64_t splitmix64(uint64_t& x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 uint64_t mono_ns() {
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -52,6 +44,9 @@ void pin_self_to_allowed_cpu(size_t idx) {
 
 Reactor::Reactor(ReactorConfig cfg)
     : cfg_(cfg), shards_(std::max<size_t>(1, cfg.workers)) {
+    for (Shard& sh : shards_) {
+        sh.timers = FleetTimers([this](InstanceId id) { return !current(id); });
+    }
     if (shards_.size() > 1) {
         threads_.reserve(shards_.size());
         for (size_t i = 0; i < shards_.size(); ++i) {
@@ -86,56 +81,109 @@ Reactor::~Reactor() {
 
 // -- fleet construction -------------------------------------------------------
 
-void Reactor::check_id(InstanceId id) const {
-    if (static_cast<size_t>(id) >= published_.load(std::memory_order_acquire)) {
+const Reactor::Slot& Reactor::table_slot(InstanceId id) const {
+    if (instance_slot(id) >= published_.load(std::memory_order_acquire)) {
         throw std::out_of_range("reactor: unknown instance id");
     }
+    return slot(id);
+}
+
+const Reactor::Slot& Reactor::live_slot(InstanceId id) const {
+    const Slot& sl = table_slot(id);
+    if (!current(id) || sl.inst == nullptr) {
+        throw std::out_of_range("reactor: unknown or retired instance id");
+    }
+    return sl;
 }
 
 InstanceId Reactor::add_instance(std::shared_ptr<const flat::CompiledProgram> cp,
                                  host::Config hcfg) {
-    size_t idx = published_.load(std::memory_order_relaxed);
-    if (idx >= kMaxChunks * kChunkSize) {
-        throw std::length_error("reactor: instance table full");
+    uint32_t idx;
+    bool grow = free_slots_.empty();
+    if (grow) {
+        size_t n = published_.load(std::memory_order_relaxed);
+        if (n >= kMaxChunks * kChunkSize) {
+            throw std::length_error("reactor: instance table full");
+        }
+        size_t c = n >> kChunkShift;
+        if (chunks_[c].load(std::memory_order_relaxed) == nullptr) {
+            chunks_[c].store(new Slot[kChunkSize], std::memory_order_release);
+        }
+        idx = static_cast<uint32_t>(n);
+    } else {
+        idx = free_slots_.back();
     }
-    size_t c = idx >> kChunkShift;
-    Slot* chunk = chunks_[c].load(std::memory_order_relaxed);
-    if (chunk == nullptr) {
-        chunk = new Slot[kChunkSize];
-        chunks_[c].store(chunk, std::memory_order_release);
-    }
-    Slot& sl = chunk[idx & kChunkMask];
+    Slot& sl = slot(idx);
+    InstanceId id = make_instance_id(idx, sl.generation.load(std::memory_order_relaxed));
     hcfg.engine = cfg_.engine;
     hcfg.collect_trace = cfg_.collect_traces;
-    sl.inst = std::make_unique<host::Instance>(std::move(cp), hcfg);
+    sl.inst = std::make_unique<host::Instance>(cp, hcfg);
     if (cfg_.observe_stats) sl.inst->observe_stats();
     // Per-reaction wall-clock sampling is two clock_gettime calls — ~10%
     // of a small interpreted reaction — for numbers no fleet reads.
     sl.inst->recorder().set_timing_enabled(false);
     sl.policy = cfg_.supervise;
-    InstanceId id = static_cast<InstanceId>(idx);
-    Shard& sh = shards_[id % shards_.size()];
-    sh.members.push_back(id);
-    sh.schedule_dirty = true;
-    // Publish *after* the slot is fully constructed: a concurrent
-    // injector that reads the new size (acquire) sees a complete slot.
-    published_.store(idx + 1, std::memory_order_release);
+    sl.indexed_deadline = -1;
+    sl.timer_entries = 0;
+    sl.async_listed = false;
+    sl.booted = false;
+    // Release: an injector that reads this program also reads the
+    // generation bump of the retire that freed the slot.
+    sl.program.store(programs_.insert(std::move(cp)).first->get(),
+                     std::memory_order_release);
+    shard_of(id).fresh.push_back(id);
+    if (grow) {
+        // Publish *after* the slot is fully constructed: a concurrent
+        // injector that reads the new size (acquire) sees a complete slot.
+        published_.store(idx + 1, std::memory_order_release);
+    } else {
+        free_slots_.pop_back();
+    }
     return id;
 }
 
+obs::ProcessStats Reactor::member_stats(const Slot& sl) {
+    obs::ProcessStats s = sl.inst->snapshot();
+    // Supervision counters live on the reactor, not the engine; stamp
+    // them onto the member's snapshot so one merge covers both.
+    s.checkpoints += sl.sup.checkpoints;
+    s.restores += sl.sup.restores;
+    s.supervised_restarts += sl.sup.supervised_restarts;
+    s.quarantines += sl.sup.quarantined ? 1 : 0;
+    // Raw faults come from the supervisor's lifetime count, not the
+    // recorder: restoring a checkpoint rewinds the recorder to the
+    // pre-fault timeline, which would erase the fault it recovered
+    // from. The supervisor never forgets one.
+    s.faults = std::max(s.faults, sl.sup.faults);
+    return s;
+}
+
 void Reactor::retire(InstanceId id) {
-    check_id(id);
-    slot(id).retired.store(true, std::memory_order_release);
+    if (retired(id)) return;
+    Slot& sl = slot(id);
+    retired_stats_.merge(member_stats(sl));
+    // Stale from here on: injectors now get Retired, and the shard drops
+    // the member's queue, timer, async and restart entries when reached.
+    sl.generation.store(instance_generation(id) + 1, std::memory_order_release);
+    shard_of(id).timers.forget(sl.timer_entries);
+    sl.inst.reset();
+    sl.sup = MemberState{};
+    std::string().swap(sl.error);
+    free_slots_.push_back(instance_slot(id));
 }
 
 bool Reactor::retired(InstanceId id) const {
-    check_id(id);
-    return slot(id).retired.load(std::memory_order_acquire);
+    const Slot& sl = table_slot(id);
+    uint32_t gen = sl.generation.load(std::memory_order_relaxed);
+    uint32_t g = instance_generation(id);
+    if (g > gen || (g == gen && sl.inst == nullptr)) {
+        throw std::out_of_range("reactor: unknown instance id");  // never handed out
+    }
+    return g < gen;
 }
 
 void Reactor::set_policy(InstanceId id, const SupervisorPolicy& policy) {
-    check_id(id);
-    Slot& sl = slot(id);
+    Slot& sl = live_slot(id);
     sl.policy = policy;
     // Cadence re-derives from the next reaction boundary (lazy init in
     // after_reaction); dropping the old threshold makes that happen.
@@ -143,31 +191,18 @@ void Reactor::set_policy(InstanceId id, const SupervisorPolicy& policy) {
 }
 
 const MemberState& Reactor::supervision(InstanceId id) const {
-    check_id(id);
-    return slot(id).sup;
-}
-
-void Reactor::refresh_schedule(Shard& sh, size_t shard_idx) {
-    sh.schedule = sh.members;
-    uint64_t s = cfg_.seed ^ (0xa0761d6478bd642fULL * (shard_idx + 1));
-    for (size_t i = sh.schedule.size(); i > 1; --i) {
-        size_t j = static_cast<size_t>(splitmix64(s) % i);
-        std::swap(sh.schedule[i - 1], sh.schedule[j]);
-    }
-    sh.schedule_dirty = false;
+    return live_slot(id).sup;
 }
 
 void Reactor::boot() {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-        if (shards_[i].schedule_dirty) refresh_schedule(shards_[i], i);
-    }
     dispatch(Cmd::Boot);
 }
 
 void Reactor::boot_shard(Shard& sh) {
-    for (InstanceId id : sh.schedule) {
+    for (InstanceId id : sh.fresh) {
         Slot& sl = slot(id);
-        if (sl.booted || sl.retired.load(std::memory_order_relaxed)) continue;
+        // Retired before its boot, or already power-cycled by restart().
+        if (!current(id) || sl.booted) continue;
         sl.booted = true;
         try {
             sl.inst->advance_to(now_);  // late joiners boot at the fleet instant
@@ -179,6 +214,7 @@ void Reactor::boot_shard(Shard& sh) {
             sl.error = ex.what();
         }
     }
+    sh.fresh.clear();
     sh.work_left = !sh.async_live.empty() || shard_has_due_restart(sh) ||
                    (sh.timers.next_deadline() >= 0 && sh.timers.next_deadline() <= now_);
 }
@@ -186,9 +222,10 @@ void Reactor::boot_shard(Shard& sh) {
 // -- inputs -------------------------------------------------------------------
 
 InjectResult Reactor::inject(InstanceId id, EventId event, rt::Value v) {
-    check_id(id);
-    Slot& sl = slot(id);
-    if (sl.retired.load(std::memory_order_acquire)) {
+    Slot& sl = table_slot(id);
+    // A retire racing this check leaves the envelope queued under a stale
+    // id: it is dropped at delivery, like one queued before the retire.
+    if (sl.generation.load(std::memory_order_acquire) != instance_generation(id)) {
         return {InjectResult::Status::Retired, 0};
     }
     // Reserve an inbox seat before allocating anything: capacity is
@@ -205,7 +242,7 @@ InjectResult Reactor::inject(InstanceId id, EventId event, rt::Value v) {
         uint64_t t = ticket_.fetch_add(1, std::memory_order_relaxed);
         return {InjectResult::Status::Shed, t};
     }
-    Shard& sh = shards_[id % shards_.size()];
+    Shard& sh = shard_of(id);
     // Pool cell, not a heap node: a warmed-up fleet injects and drains
     // without ever touching the global allocator.
     Envelope* e = sh.pool.alloc();
@@ -222,10 +259,17 @@ InjectResult Reactor::inject(InstanceId id, EventId event, rt::Value v) {
 }
 
 InjectResult Reactor::inject(InstanceId id, const std::string& event, rt::Value v) {
-    check_id(id);
-    // resolve_input only reads the instance's immutable compiled program,
-    // so the name path stays as thread-safe as the id path.
-    EventId ev = slot(id).inst->resolve_input(event);
+    const Slot& sl = table_slot(id);
+    // The program before the generation: a program stored by a later
+    // add_instance() comes with the bump of the retire before it, so if
+    // the generation still matches, `cp` is this member's program. Either
+    // way it stays alive (programs_), and it is immutable, so the name
+    // path is as thread-safe as the id path.
+    const flat::CompiledProgram* cp = sl.program.load(std::memory_order_acquire);
+    if (sl.generation.load(std::memory_order_acquire) != instance_generation(id)) {
+        return {InjectResult::Status::Retired, 0};
+    }
+    EventId ev = cp->sema.input_id(event);
     if (ev == kNoEvent) return {InjectResult::Status::UnknownEvent, 0};
     return inject(id, ev, v);
 }
@@ -238,9 +282,6 @@ void Reactor::advance(Micros delta) {
 // -- rounds -------------------------------------------------------------------
 
 void Reactor::run_round() {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-        if (shards_[i].schedule_dirty) refresh_schedule(shards_[i], i);
-    }
     dispatch(Cmd::Round);
     if (on_round_end) on_round_end();
 }
@@ -266,13 +307,15 @@ std::vector<Reactor::DrainedMember> Reactor::drain_and_checkpoint(size_t max_rou
     std::vector<DrainedMember> out;
     size_t n = published_.load(std::memory_order_acquire);
     for (size_t i = 0; i < n; ++i) {
-        const Slot& sl = slot(static_cast<InstanceId>(i));
-        if (!sl.booted || sl.retired.load(std::memory_order_relaxed)) continue;
+        const Slot& sl = slot(i);
+        if (sl.inst == nullptr || !sl.booted) continue;
         rt::Engine::Status st = sl.inst->status();
         if (st != rt::Engine::Status::Running && st != rt::Engine::Status::Faulted) {
             continue;  // Terminated (or never-ran) members have nothing to resume
         }
-        out.push_back({static_cast<InstanceId>(i), sl.inst->save()});
+        auto idx = static_cast<uint32_t>(i);
+        out.push_back({make_instance_id(idx, sl.generation.load(std::memory_order_relaxed)),
+                       sl.inst->save()});
     }
     return out;
 }
@@ -281,7 +324,7 @@ Micros Reactor::next_restart_due() const {
     Micros best = -1;
     for (const Shard& sh : shards_) {
         for (const RestartDue& d : sh.agenda) {
-            if (best < 0 || d.due < best) best = d.due;
+            if (current(d.instance) && (best < 0 || d.due < best)) best = d.due;
         }
     }
     return best;
@@ -309,8 +352,9 @@ void Reactor::on_member_fault(InstanceId id, Slot& sl, std::vector<DeferredOp>& 
 }
 
 void Reactor::restart_member(InstanceId id, Shard& sh) {
+    if (!current(id)) return;  // retired since the fault
     Slot& sl = slot(id);
-    if (sl.retired.load(std::memory_order_relaxed) || sl.sup.quarantined) return;
+    if (sl.sup.quarantined) return;
     if (sl.inst->status() != rt::Engine::Status::Faulted) return;
     host::Instance& inst = *sl.inst;
     if (sl.policy.restart == SupervisorPolicy::Restart::Restore &&
@@ -340,10 +384,8 @@ void Reactor::restart_member(InstanceId id, Shard& sh) {
 }
 
 void Reactor::restart(InstanceId id) {
-    check_id(id);
-    Slot& sl = slot(id);
-    if (sl.retired.load(std::memory_order_acquire)) return;
-    Shard& sh = shards_[id % shards_.size()];
+    Slot& sl = live_slot(id);
+    Shard& sh = shard_of(id);
     sl.inst->advance_to(now_);  // crash happens at the fleet instant
     sl.inst->power_cycle();
     sl.booted = true;
@@ -387,6 +429,7 @@ void Reactor::after_reaction(InstanceId id, Slot& sl, std::vector<DeferredOp>& o
     if (d >= 0 && d != sl.indexed_deadline) {
         ops.push_back({DeferredOp::Kind::Timer, d});
         sl.indexed_deadline = d;
+        ++sl.timer_entries;  // the owner applies the op this round
     }
     if (!sl.async_listed && inst.status() == rt::Engine::Status::Running &&
         inst.has_async_work()) {
@@ -419,11 +462,15 @@ void Reactor::execute_item(Shard& sh, size_t idx) {
     ops.clear();
     Slot& sl = slot(it.id);
     if (it.phase == 1) {
-        // All of one instance's envelopes this round, in ticket order.
+        // All of one instance's envelopes this round, in ticket order. A
+        // member retired since they were queued gets none; the slot's next
+        // member may be running in another item, so only atomics are
+        // touched for them.
+        bool deliver = current(it.id) && sl.booted;
         for (uint32_t k = it.env_begin; k < it.env_end; ++k) {
             Envelope* e = sh.drained[k];
             sl.inbox_depth.fetch_sub(1, std::memory_order_relaxed);
-            if (sl.booted && !sl.retired.load(std::memory_order_relaxed)) {
+            if (deliver) {
                 try {
                     sync_clock(sl);
                     sl.inst->inject(static_cast<int>(e->event), e->value);
@@ -437,19 +484,17 @@ void Reactor::execute_item(Shard& sh, size_t idx) {
     } else {
         // One instance's async slice budget.
         sl.async_listed = false;
-        if (!sl.retired.load(std::memory_order_relaxed)) {
-            try {
-                if (cfg_.async_slices_per_round > 0) {
-                    // One batched call per member per round: a compiled
-                    // backend crosses the ABI once for the whole budget.
-                    // Both backends stop early on their own when the
-                    // program leaves Running or the async queue drains.
-                    sl.inst->run_async_slices(cfg_.async_slices_per_round);
-                }
-                after_reaction(it.id, sl, ops);
-            } catch (const std::exception& ex) {
-                if (sl.error.empty()) sl.error = ex.what();
+        try {
+            if (cfg_.async_slices_per_round > 0) {
+                // One batched call per member per round: a compiled
+                // backend crosses the ABI once for the whole budget.
+                // Both backends stop early on their own when the
+                // program leaves Running or the async queue drains.
+                sl.inst->run_async_slices(cfg_.async_slices_per_round);
             }
+            after_reaction(it.id, sl, ops);
+        } catch (const std::exception& ex) {
+            if (sl.error.empty()) sl.error = ex.what();
         }
     }
     sh.done[idx].store(1, std::memory_order_release);
@@ -602,16 +647,18 @@ void Reactor::run_shard_round(Shard& sh) {
     }
     lap(1);
 
-    // Phase 2: timers. Candidates come out in (deadline, instance) order;
-    // stale ones (engine re-armed or disarmed since indexing) reduce to a
-    // no-op sync plus a re-index. Shard-owned: heap pops are not worth a
-    // claim protocol, and the heap itself is owner-only state.
+    // Phase 2: timers. Candidates come out in (deadline, instance) order,
+    // retired members' entries already dropped; stale ones (engine
+    // re-armed or disarmed since indexing) reduce to a no-op sync plus a
+    // re-index. Shard-owned: heap pops are not worth a claim protocol, and
+    // the heap itself is owner-only state.
     sh.due.clear();
     sh.timers.collect_due(now_, sh.due);
     for (const FleetTimers::Due& d : sh.due) {
         Slot& sl = slot(d.instance);
+        --sl.timer_entries;
         if (sl.indexed_deadline == d.deadline) sl.indexed_deadline = -1;
-        if (!sl.booted || sl.retired.load(std::memory_order_relaxed)) continue;
+        if (!sl.booted) continue;
         try {
             sync_clock(sl);
             sh.local_ops.clear();
@@ -627,13 +674,13 @@ void Reactor::run_shard_round(Shard& sh) {
     // allowance; the per-instance allowance is fixed per round, so an
     // instance's async progress is a function of rounds elapsed — not of
     // which shard, worker, or thief it landed on. One stealable item per
-    // member, in the listing order.
+    // member, in the listing order; retired members' listings drop here.
     sh.async_scratch.clear();
     sh.async_scratch.swap(sh.async_live);
     if (!sh.async_scratch.empty()) {
         sh.items.clear();
         for (InstanceId id : sh.async_scratch) {
-            sh.items.push_back({id, 0, 0, 3});
+            if (current(id)) sh.items.push_back({id, 0, 0, 3});
         }
         run_items(sh, sh.items.size());
     }
@@ -698,34 +745,20 @@ void Reactor::worker_main(size_t shard_idx) {
 // -- introspection ------------------------------------------------------------
 
 host::Instance& Reactor::instance(InstanceId id) {
-    check_id(id);
-    return *slot(id).inst;
+    return *live_slot(id).inst;
 }
 
 const host::Instance& Reactor::instance(InstanceId id) const {
-    check_id(id);
-    return *slot(id).inst;
+    return *live_slot(id).inst;
 }
 
 obs::ProcessStats Reactor::fleet_stats() const {
-    obs::ProcessStats total;
+    obs::ProcessStats total = retired_stats_;
     size_t n = published_.load(std::memory_order_acquire);
     for (size_t i = 0; i < n; ++i) {
-        const Slot& sl = slot(static_cast<InstanceId>(i));
-        obs::ProcessStats s = sl.inst->snapshot();
-        // Supervision counters live on the reactor, not the engine; stamp
-        // them onto the member's snapshot so one merge covers both.
-        s.checkpoints += sl.sup.checkpoints;
-        s.restores += sl.sup.restores;
-        s.supervised_restarts += sl.sup.supervised_restarts;
-        s.quarantines += sl.sup.quarantined ? 1 : 0;
-        s.sheds += sl.sheds.load(std::memory_order_relaxed);
-        // Raw faults come from the supervisor's lifetime count, not the
-        // recorder: restoring a checkpoint rewinds the recorder to the
-        // pre-fault timeline, which would erase the fault it recovered
-        // from. The supervisor never forgets one.
-        s.faults = std::max(s.faults, sl.sup.faults);
-        total.merge(s);
+        const Slot& sl = slot(i);
+        total.sheds += sl.sheds.load(std::memory_order_relaxed);
+        if (sl.inst != nullptr) total.merge(member_stats(sl));
     }
     // Scheduler diagnostics are per-shard, not per-instance: stamped once
     // here. clear_measured() drops all of them (they depend on worker
@@ -742,8 +775,7 @@ obs::ProcessStats Reactor::fleet_stats() const {
 }
 
 const std::string& Reactor::error(InstanceId id) const {
-    check_id(id);
-    return slot(id).error;
+    return live_slot(id).error;
 }
 
 }  // namespace ceu::reactor

@@ -5,7 +5,7 @@
 // parking forever.
 //
 // Sharding. Instances are dealt round-robin to `workers` shards (shard =
-// id % workers). Each shard owns its members exclusively: a per-shard run
+// slot % workers). Each shard owns its members exclusively: a per-shard run
 // queue (the drained mailbox batch), a per-shard FleetTimers heap indexing
 // its members' earliest deadlines, a per-shard async-live list, and a
 // per-shard restart agenda. Workers never touch another shard's instances,
@@ -26,20 +26,28 @@
 //                re- or dis-armed since indexing) are dropped by
 //                re-checking the engine's actual next deadline;
 //   3. asyncs  — give every async-live member a bounded number of slices,
-//                in the shard's seeded schedule order.
+//                in the order the members were listed.
+//
+// Membership. A member lives in a slot of a pointer-stable table. retire()
+// folds the member's counters into fleet_stats(), destroys its Instance
+// and frees the slot; the next add_instance() reuses the most recently
+// freed slot under a new generation of the id (see InstanceId). Both cost
+// O(1) amortized, boot() visits only the members added since the last
+// boot, and fleet memory is O(live members), however many have come and
+// gone. Queue, timer, async and restart entries that still name a retired
+// member are dropped when reached.
 //
 // Determinism. Per-instance traces are a pure function of that instance's
 // input sequence (instances are independent; the engine is sequential).
 // The reactor preserves each instance's injection order exactly — tickets
 // are a global atomic sequence and every drained batch is replayed in
 // ticket order — and delivers timer/async/restart work at fleet instants
-// that do not depend on shard layout. Supervision decisions (backoff,
-// jitter, quarantine) hash (seed, id, fault ordinal), never thread timing.
-// Hence per-instance traces and the aggregated fleet stats
-// (ProcessStats::merge is commutative) are byte-identical at any worker
-// count; the determinism suites assert this at 1/2/8 workers. The seeded
-// shuffle fixes the intra-round visit order *per seed*, so a given
-// (seed, fleet, inputs) triple replays identically run-to-run too.
+// that do not depend on shard layout. Slot reuse is a pure function of the
+// add/retire sequence. Supervision decisions (backoff, jitter, quarantine)
+// hash (seed, id, fault ordinal), never thread timing. Hence per-instance
+// traces and the aggregated fleet stats (ProcessStats::merge is
+// commutative) are byte-identical at any worker count; the determinism
+// suites assert this at 1/2/8 workers.
 //
 // Work stealing. With more than one worker, a worker that finishes its own
 // round helps by stealing whole-instance work items (an instance's event
@@ -56,13 +64,15 @@
 // behavior).
 //
 // Threading contract. inject() is safe from any thread, including
-// mid-round, and — new in the supervision PR — concurrently with
-// add_instance()/retire(): the instance table is a chunked, pointer-stable
-// structure whose size is published with release/acquire ordering, so a
-// concurrent injector either sees a fully constructed slot or an
-// out-of-range id. add_instance/retire themselves, and everything else —
-// boot, advance, run_round, drain, instance(), set_policy, fleet_stats —
-// must still be called from the one control thread, between rounds.
+// mid-round and concurrently with add_instance()/retire(): it reads only
+// the slot's atomics and its program (which the reactor keeps alive until
+// it is destroyed), never the Instance that retire() frees. The table is
+// chunked and pointer-stable, and its size is published with
+// release/acquire ordering, so a concurrent injector either sees a fully
+// constructed slot or an out-of-range id. add_instance/retire themselves,
+// and everything else — boot, advance, run_round, drain, instance(),
+// set_policy, fleet_stats — must still be called from the one control
+// thread, between rounds.
 #pragma once
 
 #include <array>
@@ -74,6 +84,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "host/instance.hpp"
@@ -95,9 +107,8 @@ struct ReactorConfig {
     /// control thread — no pool, no synchronization, the baseline the
     /// determinism suite compares against.
     size_t workers = 1;
-    /// Seeds the per-shard round schedule (the order members are visited
-    /// for boot and async slices) and the supervision backoff jitter.
-    /// Same seed => same schedule and same restart instants, always.
+    /// Seeds the supervision backoff jitter: same seed => same restart
+    /// instants, always.
     uint64_t seed = 0;
     /// Forwarded to every instance's host::Config. Fleets default traces
     /// off (100k instances of trace text is not a thing you want).
@@ -141,10 +152,11 @@ class Reactor {
 
     // -- fleet construction (control thread; injectors may stay live) --------
 
-    /// Adds one instance of the shared program; returns its fleet id.
-    /// The compiled program is co-owned, never copied: fleet memory scales
+    /// Adds one instance of the shared program; returns its fleet id. The
+    /// member takes the most recently freed slot, else a new one. The
+    /// compiled program is co-owned, never copied: fleet memory scales
     /// with per-instance *state*, not code. Safe while other threads
-    /// inject(): the new slot is published to them atomically.
+    /// inject(): a new slot is published to them atomically.
     /// `hcfg` carries what is per member: extra bindings and the AOT
     /// handle. Engine options and trace collection are fleet-wide:
     /// ReactorConfig::engine and collect_traces replace hcfg.engine and
@@ -152,16 +164,21 @@ class Reactor {
     InstanceId add_instance(std::shared_ptr<const flat::CompiledProgram> cp,
                             host::Config hcfg = {});
 
-    /// Boots every not-yet-booted instance (shard-parallel, seeded order).
-    /// Callable again after adding more instances: only new ones boot.
+    /// Boots the members added since the last boot (shard-parallel, in
+    /// add order within a shard). Costs O(new members), not O(fleet).
     void boot();
 
-    /// Marks `id` retired: subsequent inject() calls return Retired,
-    /// already-queued envelopes are dropped at delivery, and the member is
-    /// skipped by every scheduling phase. The instance object (and its
-    /// stats, which fleet_stats keeps merging) stays alive. Control
-    /// thread, between rounds; safe while injector threads run.
+    /// Removes `id` from the fleet: its counters fold into fleet_stats(),
+    /// its Instance is destroyed and its slot is freed for a later
+    /// add_instance(). From then on inject(id) returns Retired, envelopes
+    /// already queued for it are dropped at delivery (each still releases
+    /// its inbox seat), and instance(id) and the other id-taking accessors
+    /// throw as for an unknown id. Retiring a stale id does nothing.
+    /// Control thread, between rounds; safe while injector threads run.
     void retire(InstanceId id);
+    /// True iff add_instance() returned `id` and it has since been retired
+    /// (its slot may already hold a newer member). Throws on an id that
+    /// add_instance() never returned.
     [[nodiscard]] bool retired(InstanceId id) const;
 
     /// Overrides the supervision policy for one member (control thread,
@@ -178,13 +195,15 @@ class Reactor {
     /// from any thread, including mid-round and concurrently with
     /// add_instance/retire. Delivery happens in the next round, in global
     /// injection-ticket order. Backpressure: over-capacity occurrences are
-    /// shed here, not queued (see InjectResult). Unknown ids still throw:
-    /// that is API misuse, not load.
+    /// shed here, not queued (see InjectResult). A retired id gets
+    /// Retired, even once its slot holds a newer member. Ids outside the
+    /// table still throw: that is API misuse, not load.
     InjectResult inject(InstanceId id, EventId event,
                         rt::Value v = rt::Value::integer(0));
-    /// Name-resolving variant (resolves against the instance's program —
-    /// O(1) interned lookup). Returns UnknownEvent if `event` is not an
-    /// input of the program.
+    /// Name-resolving variant (resolves against the slot's program — O(1)
+    /// interned lookup — so it never touches an Instance that retire() may
+    /// be freeing). Returns UnknownEvent if `event` is not an input of the
+    /// program.
     InjectResult inject(InstanceId id, const std::string& event,
                         rt::Value v = rt::Value::integer(0));
 
@@ -200,8 +219,9 @@ class Reactor {
     /// `crash` item — the "[crash] engine power-cycled" line is traced),
     /// and re-index the member's timer/async state. Unlike supervised
     /// restarts this is unconditional: it does not require a Faulted
-    /// member and does not count toward the supervision counters. Control
-    /// thread only (like advance()/run_round()).
+    /// member and does not count toward the supervision counters. Throws
+    /// on an unknown or retired id. Control thread only (like
+    /// advance()/run_round()).
     void restart(InstanceId id);
 
     /// Retune the per-round async slice budget at run time (0 parks every
@@ -239,8 +259,8 @@ class Reactor {
     };
 
     /// Graceful drain: runs drain(max_rounds), then checkpoints every live
-    /// member — booted, not retired, status Running or Faulted — in id
-    /// order. Terminated members have nothing to resume and are skipped.
+    /// member — booted, status Running or Faulted — in slot order.
+    /// Terminated members have nothing to resume and are skipped.
     /// The reactor keeps running afterwards; stopping the process (and
     /// later restoring the blobs via Instance::load / session resume) is
     /// the caller's business. Control thread only.
@@ -250,6 +270,9 @@ class Reactor {
 
     [[nodiscard]] host::Instance& instance(InstanceId id);
     [[nodiscard]] const host::Instance& instance(InstanceId id) const;
+    /// Slots in the instance table: the peak live member count, since a
+    /// retired member's slot is reused before the table grows. Never-
+    /// reused slots' ids are exactly 0..size()-1.
     [[nodiscard]] size_t size() const {
         return published_.load(std::memory_order_acquire);
     }
@@ -261,9 +284,10 @@ class Reactor {
     /// let backoffs expire deterministically.
     [[nodiscard]] Micros next_restart_due() const;
 
-    /// Fleet-level counters: every instance's snapshot — stamped with its
-    /// supervision counters (checkpoints, restores, supervised restarts,
-    /// quarantines, sheds) — merged in id order. Deterministic (after
+    /// Fleet-level counters: every live member's snapshot — stamped with
+    /// its supervision counters (checkpoints, restores, supervised
+    /// restarts, quarantines) — merged with the totals retire() folded in,
+    /// plus every slot's sheds. Deterministic (after
     /// ProcessStats::clear_measured) for a given (seed, fleet, inputs),
     /// independent of worker count.
     [[nodiscard]] obs::ProcessStats fleet_stats() const;
@@ -277,9 +301,14 @@ class Reactor {
     [[nodiscard]] const std::string& error(InstanceId id) const;
 
   private:
+    /// One table entry. The member fields are reset by add_instance();
+    /// retire() frees what they hold. The atomics belong to the slot, not
+    /// the member: an envelope queued before a retire still releases its
+    /// inbox seat afterwards, and a racing stale injector may still shed.
     struct alignas(64) Slot {
-        std::unique_ptr<host::Instance> inst;
+        std::unique_ptr<host::Instance> inst;  // null while the slot is free
         Micros indexed_deadline = -1;  // deadline currently in the timer heap
+        uint32_t timer_entries = 0;    // heap entries naming the member
         bool async_listed = false;     // member of its shard's async_live
         bool booted = false;
         std::string error;             // first escaped rt::RuntimeError
@@ -294,8 +323,13 @@ class Reactor {
         // on one member's inbox must not invalidate the scheduler-read
         // fields above or the neighboring Slot.
         alignas(64) std::atomic<uint32_t> inbox_depth{0};
-        std::atomic<bool> retired{false};
+        /// The member's id generation; retire() bumps it, so every id
+        /// handed out for the slot so far turns stale at once.
+        std::atomic<uint32_t> generation{0};
         std::atomic<uint64_t> sheds{0};
+        /// The member's program, for inject-by-name (kept alive by
+        /// Reactor::programs_).
+        std::atomic<const flat::CompiledProgram*> program{nullptr};
     };
 
     /// Shard-structure mutation deferred out of a work item's execution:
@@ -324,9 +358,7 @@ class Reactor {
     struct alignas(64) Shard {
         Mailbox mailbox;
         FleetTimers timers;
-        std::vector<InstanceId> members;
-        std::vector<InstanceId> schedule;     // seeded visit order
-        bool schedule_dirty = false;
+        std::vector<InstanceId> fresh;        // added since the last boot
         std::vector<Envelope*> drained;       // round scratch
         std::vector<FleetTimers::Due> due;
         std::vector<InstanceId> async_live;
@@ -366,23 +398,45 @@ class Reactor {
     static constexpr size_t kChunkShift = 12;
     static constexpr size_t kChunkSize = size_t{1} << kChunkShift;  // 4096
     static constexpr size_t kChunkMask = kChunkSize - 1;
-    static constexpr size_t kMaxChunks = 4096;  // ~16.7M instances
+    static constexpr size_t kMaxChunks = 4096;  // ~16.7M live instances
 
     [[nodiscard]] Slot& slot(InstanceId id) {
-        return chunks_[id >> kChunkShift].load(std::memory_order_relaxed)
-            [id & kChunkMask];
+        uint32_t i = instance_slot(id);
+        return chunks_[i >> kChunkShift].load(std::memory_order_relaxed)[i & kChunkMask];
     }
     [[nodiscard]] const Slot& slot(InstanceId id) const {
-        return chunks_[id >> kChunkShift].load(std::memory_order_relaxed)
-            [id & kChunkMask];
+        uint32_t i = instance_slot(id);
+        return chunks_[i >> kChunkShift].load(std::memory_order_relaxed)[i & kChunkMask];
     }
-    void check_id(InstanceId id) const;
+    [[nodiscard]] Shard& shard_of(InstanceId id) {
+        return shards_[instance_slot(id) % shards_.size()];
+    }
+    /// The slot of an in-table id; throws std::out_of_range otherwise.
+    [[nodiscard]] const Slot& table_slot(InstanceId id) const;
+    [[nodiscard]] Slot& table_slot(InstanceId id) {
+        return const_cast<Slot&>(std::as_const(*this).table_slot(id));
+    }
+    /// The slot of a live member; throws std::out_of_range for ids that
+    /// are unknown or retired.
+    [[nodiscard]] const Slot& live_slot(InstanceId id) const;
+    [[nodiscard]] Slot& live_slot(InstanceId id) {
+        return const_cast<Slot&>(std::as_const(*this).live_slot(id));
+    }
+    /// True iff `id` names its slot's current member. Every id the
+    /// reactor queued or indexed came from add_instance(), so for those
+    /// this is the whole liveness test.
+    [[nodiscard]] bool current(InstanceId id) const {
+        return slot(id).generation.load(std::memory_order_relaxed) ==
+               instance_generation(id);
+    }
+    /// The member's counters as fleet_stats() merges them: its snapshot
+    /// stamped with its supervision counters.
+    [[nodiscard]] static obs::ProcessStats member_stats(const Slot& sl);
 
     void dispatch(Cmd cmd);
     void worker_main(size_t shard_idx);
     void boot_shard(Shard& sh);
     void run_shard_round(Shard& sh);
-    void refresh_schedule(Shard& sh, size_t shard_idx);
     /// Brings `id` to the fleet instant (due timers fire) — the lazy
     /// clock sync in front of every delivery.
     void sync_clock(Slot& sl);
@@ -415,6 +469,11 @@ class Reactor {
     ReactorConfig cfg_;
     std::array<std::atomic<Slot*>, kMaxChunks> chunks_{};
     std::atomic<size_t> published_{0};
+    std::vector<uint32_t> free_slots_;  // retired slots, reused last-in first-out
+    /// Every program a slot has pointed at: inject-by-name may read a
+    /// slot's program while its member is being retired and replaced.
+    std::unordered_set<std::shared_ptr<const flat::CompiledProgram>> programs_;
+    obs::ProcessStats retired_stats_;   // counters folded in by retire()
     std::vector<Shard> shards_;
     Micros now_ = 0;
     alignas(64) std::atomic<uint64_t> ticket_{0};

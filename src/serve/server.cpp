@@ -617,7 +617,7 @@ SessionState* Server::create_session(Conn* conn, const Registry::Entry& entry,
         id = sessions_.open(std::move(st));
     }
     raw->id = id;
-    if (conn != nullptr) conn->sessions.push_back(id);
+    if (conn != nullptr) conn->sessions.insert(id);
     return raw;
 }
 
@@ -647,12 +647,13 @@ void Server::handle_resume(Conn* conn, const Frame& f) {
     // blob -> drained-to-disk snapshot from a previous server life.
     if (f.blob.empty() && f.session != 0) {
         if (SessionState* live = sessions_.get(f.session)) {
+            unlink_session(*live);
             live->conn_fd = conn->fd;
             if (conn->want_spans && !live->want_spans) {
                 live->want_spans = true;
                 forward_spans(reactor_.instance(live->member), live);
             }
-            conn->sessions.push_back(f.session);
+            conn->sessions.insert(f.session);
             counters_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
             Frame reply;
             reply.type = FrameType::SessionOpened;
@@ -724,6 +725,7 @@ void Server::handle_detach(Conn* conn, const Frame& f) {
     reply.session = f.session;
     reply.blob = reactor_.instance(st->member).save();
     reactor_.retire(st->member);
+    unlink_session(*st);
     std::unique_ptr<SessionState> owned = sessions_.close(f.session);
     if (owned != nullptr) harvest_one(owned.get());  // last outputs first
     send_frame(conn, reply);
@@ -736,6 +738,7 @@ void Server::handle_close_session(Conn* conn, const Frame& f) {
         return;
     }
     reactor_.retire(st->member);
+    unlink_session(*st);
     harvest_one(st.get());
     Frame reply;
     reply.type = FrameType::SessionClosed;
@@ -807,6 +810,7 @@ void Server::drop_conn(Conn* conn) {
             if (st->conn_fd == conn->fd) st->conn_fd = -1;
         }
     }
+    std::unordered_set<SessionId>().swap(conn->sessions);
     int fd = conn->fd;
     auto it = conns_.find(fd);
     if (it != conns_.end() && it->second.get() == conn) {
@@ -816,11 +820,16 @@ void Server::drop_conn(Conn* conn) {
         // until its next wakeup prunes it — park the object in a graveyard
         // instead of freeing it out from under that thread. Shrink the
         // buffers now; the husk itself is tiny.
-        conn->outbox = {};
+        std::vector<uint8_t>().swap(conn->outbox);  // `= {}` would keep the capacity
         conn->reader = {};
         dead_conns_.push_back(std::move(it->second));
         conns_.erase(it);
     }
+}
+
+void Server::unlink_session(const SessionState& st) {
+    auto it = conns_.find(st.conn_fd);
+    if (st.conn_fd >= 0 && it != conns_.end()) it->second->sessions.erase(st.id);
 }
 
 // -- drain / resume -----------------------------------------------------------

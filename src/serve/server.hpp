@@ -49,6 +49,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "reactor/reactor.hpp"
@@ -123,7 +124,9 @@ class Server {
         // (a stale read just defers the action one wakeup).
         std::atomic<bool> dead{false};  // owner stopped reading it
         std::atomic<bool> closing{false};  // graceful: shut write once flushed
-        std::vector<SessionId> sessions;  // control thread only
+        // Live sessions this connection owns (their conn_fd is fd). Control
+        // thread only.
+        std::unordered_set<SessionId> sessions;
 
         // Any-thread: frames queued to control but not yet processed. While
         // nonzero, the owner must queue Injects too (order preservation).
@@ -171,6 +174,9 @@ class Server {
     void harvest_sessions();              ///< pending buffers -> conn outboxes
     void harvest_one(SessionState* st);
     void drop_conn(Conn* conn);           ///< orphan sessions, close fd, free
+    /// Takes `st` off its owning connection's list (before a close, a
+    /// detach or a reattach elsewhere).
+    void unlink_session(const SessionState& st);
     void drain_to_disk();
     void load_resume_manifest();
     SessionState* create_session(Conn* conn, const Registry::Entry& entry,

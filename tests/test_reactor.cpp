@@ -13,6 +13,7 @@
 #include <memory>
 #include <new>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -217,7 +218,9 @@ TEST(FleetWheel, MatchesASortedVectorModel) {
     // come from a small range and pairs are re-scheduled verbatim, so
     // duplicate (deadline, instance) pairs are common; deadlines include
     // negative ones (clamped to 0), already-due ones and far-future ones,
-    // and the clock sometimes jumps by years.
+    // and the clock sometimes jumps by years. Instances also retire: the
+    // model drops their entries, the heap must never return them, and it
+    // may hold at most twice the model's entries.
     using Due = reactor::FleetTimers::Due;
     auto before = [](const Due& a, const Due& b) {
         return a.deadline != b.deadline ? a.deadline < b.deadline : a.instance < b.instance;
@@ -226,21 +229,28 @@ TEST(FleetWheel, MatchesASortedVectorModel) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         std::mt19937_64 rng(seed);
         auto pick = [&rng](uint64_t n) { return static_cast<int64_t>(rng() % n); };
-        reactor::FleetTimers w;
+        std::vector<uint32_t> gen(64, 0);  // each slot's current generation
+        auto id_of = [&gen](uint32_t slot) { return reactor::make_instance_id(slot, gen[slot]); };
+        reactor::FleetTimers w([&gen](reactor::InstanceId id) {
+            return reactor::instance_generation(id) != gen[reactor::instance_slot(id)];
+        });
         std::vector<Due> model;
         std::vector<Due> scheduled;  // every pair ever scheduled, for repeats
         std::vector<Due> got;
         Micros now = 0;
         for (int op = 0; op < 20'000; ++op) {
-            if (pick(10) < 7) {
-                Due d{0, static_cast<reactor::InstanceId>(pick(64))};
+            int64_t kind = pick(20);
+            if (kind < 13) {
+                Due d{0, id_of(static_cast<uint32_t>(pick(64)))};
                 switch (pick(6)) {
                     case 0: d.deadline = -1 - pick(1'000'000); break;
                     case 1: d.deadline = now - pick(5 * kMs); break;
                     case 2: d.deadline = now + pick(1'000'000 * kSec); break;
                     case 3:
                         if (!scheduled.empty()) {
+                            // A repeat, by the slot's current member.
                             d = scheduled[static_cast<size_t>(pick(scheduled.size()))];
+                            d.instance = id_of(reactor::instance_slot(d.instance));
                             break;
                         }
                         [[fallthrough]];
@@ -249,6 +259,15 @@ TEST(FleetWheel, MatchesASortedVectorModel) {
                 w.schedule(d.instance, d.deadline);
                 scheduled.push_back(d);
                 model.push_back({std::max<Micros>(d.deadline, 0), d.instance});
+            } else if (kind < 15) {
+                auto slot = static_cast<uint32_t>(pick(64));
+                reactor::InstanceId id = id_of(slot);
+                auto gone = std::remove_if(model.begin(), model.end(),
+                                           [id](const Due& d) { return d.instance == id; });
+                size_t n = static_cast<size_t>(model.end() - gone);
+                model.erase(gone, model.end());
+                ++gen[slot];
+                w.forget(n);
             } else {
                 switch (pick(8)) {
                     case 0: break;  // collect again at the same instant
@@ -269,7 +288,7 @@ TEST(FleetWheel, MatchesASortedVectorModel) {
                     ASSERT_EQ(got[i].instance, want[i].instance) << "op " << op << " #" << i;
                 }
             }
-            ASSERT_EQ(w.size(), model.size()) << "op " << op;
+            ASSERT_LE(w.size(), 2 * model.size()) << "op " << op;
             Micros want_next = -1;
             for (const Due& d : model) {
                 if (want_next < 0 || d.deadline < want_next) want_next = d.deadline;
@@ -642,6 +661,227 @@ TEST(Reactor, RespawningAsyncFleetIsIdenticalAt1_2_8WorkersUnderCheckpoints) {
         EXPECT_EQ(w1.stats_json.find("\"checkpoints\":0"), std::string::npos);
         EXPECT_NE(w1.traces[0].find("done 4\n"), std::string::npos);
     }
+}
+
+// -- membership churn ---------------------------------------------------------
+
+TEST(Reactor, RetiredSlotIsReusedUnderANewGeneration) {
+    reactor::ReactorConfig rc;
+    rc.collect_traces = true;
+    reactor::Reactor r(rc);
+    auto cp = compile_shared(kCounter);
+    std::vector<reactor::InstanceId> ids;
+    for (int i = 0; i < 4; ++i) ids.push_back(r.add_instance(cp));
+    EXPECT_EQ(ids, (std::vector<reactor::InstanceId>{0, 1, 2, 3}));  // dense until reuse
+    r.boot();
+    for (reactor::InstanceId id : ids) {
+        r.inject(id, "ADD", rt::Value::integer(static_cast<int64_t>(id) + 1));
+    }
+    r.drain();
+
+    // Member 2 leaves with an ADD still queued; a new member takes its slot.
+    reactor::InstanceId old = ids[2];
+    EXPECT_TRUE(r.inject(old, "ADD", rt::Value::integer(100)).accepted());
+    obs::ProcessStats before = r.fleet_stats();
+    r.retire(old);
+    reactor::InstanceId fresh = r.add_instance(cp);
+    EXPECT_EQ(reactor::instance_slot(fresh), 2u);
+    EXPECT_EQ(reactor::instance_generation(fresh), 1u);
+    EXPECT_EQ(r.size(), 4u);
+    r.boot();
+
+    EXPECT_EQ(r.inject(old, "ADD", rt::Value::integer(1000)).status,
+              reactor::InjectResult::Status::Retired);
+    EXPECT_EQ(r.inject(old, EventId{0}, rt::Value::integer(1000)).status,
+              reactor::InjectResult::Status::Retired);
+    EXPECT_EQ(r.inject(old, "NOT_AN_INPUT").status,  // Retired, whatever the name
+              reactor::InjectResult::Status::Retired);
+    EXPECT_TRUE(r.retired(old));
+    EXPECT_FALSE(r.retired(fresh));
+    EXPECT_THROW((void)r.instance(old), std::out_of_range);
+    EXPECT_THROW((void)r.error(old), std::out_of_range);
+    EXPECT_THROW((void)r.supervision(old), std::out_of_range);
+    EXPECT_THROW((void)r.retired(reactor::make_instance_id(2, 2)), std::out_of_range);
+    EXPECT_THROW((void)r.retired(reactor::make_instance_id(4, 0)), std::out_of_range);
+    r.retire(old);  // stale: the slot's new member is untouched
+    r.drain();
+    EXPECT_TRUE(r.instance(fresh).trace().empty());  // no ADD of the old member's
+
+    // The retired member's counters stay in the totals.
+    obs::ProcessStats want = before;
+    want.merge(r.instance(fresh).snapshot());
+    obs::ProcessStats got = r.fleet_stats();
+    want.clear_measured();
+    got.clear_measured();
+    EXPECT_EQ(got.to_json(), want.to_json());
+
+    EXPECT_TRUE(r.inject(fresh, "ADD", rt::Value::integer(5)).accepted());
+    r.drain();
+    EXPECT_EQ(r.instance(fresh).trace(), (std::vector<std::string>{"add 5 total 5"}));
+    EXPECT_EQ(r.instance(ids[3]).trace(), (std::vector<std::string>{"add 4 total 4"}));
+}
+
+TEST(Reactor, RetiredMembersEntriesAreDroppedWhenReached) {
+    // Four members retire, each with a different kind of entry in flight:
+    // a queued envelope, an indexed timer, an async listing and a pending
+    // restart. Their slots stay free, so an entry that reached its member
+    // anyway would find no Instance there.
+    reactor::ReactorConfig rc;
+    rc.async_slices_per_round = 1;
+    rc.supervise.restart = reactor::SupervisorPolicy::Restart::Reboot;
+    reactor::Reactor r(rc);
+    reactor::InstanceId counter = r.add_instance(compile_shared(kCounter));
+    reactor::InstanceId ticker = r.add_instance(compile_shared(kTicker));
+    auto respawner_cp = compile_shared(kRespawner);
+    reactor::InstanceId respawner = r.add_instance(respawner_cp);
+    reactor::InstanceId faulty = r.add_instance(respawner_cp);
+    r.boot();
+    r.inject(respawner, "GO");
+    r.inject(faulty, "ADD", rt::Value::integer(0));
+    r.run_round();
+    ASSERT_TRUE(r.work_pending());        // the async is still listed
+    ASSERT_GE(r.next_restart_due(), 0);  // the fault waits out its backoff
+    r.inject(counter, "ADD", rt::Value::integer(1));
+    uint64_t reactions = r.fleet_stats().reactions;
+    for (reactor::InstanceId id : {counter, ticker, respawner, faulty}) r.retire(id);
+    EXPECT_LT(r.next_restart_due(), 0);
+    r.drain();
+    r.advance(kSec);  // past the ticker's deadline and the backoff
+    r.drain();
+    EXPECT_FALSE(r.work_pending());
+    EXPECT_EQ(r.fleet_stats().reactions, reactions);
+}
+
+struct ChurnRun {
+    std::vector<std::string> logs;  // each member's output, by join order
+    std::vector<bool> retired;      // by join order
+    std::string stats_json;
+};
+
+/// A fleet whose membership churns every step. Members join in turn as
+/// kRespawner (Restore policy, checkpoints, ADD 0 faults it), kTicker and
+/// kCounter. Each step delivers one round of input, then retires a seeded
+/// handful — with input still queued, asyncs mid-flight (one slice per
+/// round), timers indexed and restarts pending — and new members take
+/// their slots. Retired instances are gone, so output is collected
+/// through output sinks. With `churn` false the same members join at the
+/// same instants with the same input, and those picked to retire only
+/// stop getting input. Every backoff is one tick and each step waits one
+/// tick after its drain, so restarts run at the same instants either way.
+ChurnRun run_churning_fleet(size_t workers, bool churn = true) {
+    reactor::ReactorConfig rc;
+    rc.workers = workers;
+    rc.seed = 5;
+    rc.async_slices_per_round = 1;
+    rc.supervise.restart = reactor::SupervisorPolicy::Restart::Restore;
+    rc.supervise.backoff_initial_ticks = 1;
+    rc.supervise.backoff_max_ticks = 1;
+    rc.supervise.checkpoint_every = 2;
+    reactor::Reactor r(rc);
+    const std::shared_ptr<const flat::CompiledProgram> programs[] = {
+        compile_shared(kRespawner), compile_shared(kTicker), compile_shared(kCounter)};
+
+    constexpr size_t kStart = 24;
+    constexpr size_t kSteps = 16;
+    ChurnRun out;
+    out.logs.resize(kStart + kSteps * 6);  // room for every member that joins
+    out.retired.resize(out.logs.size());
+    std::vector<std::pair<reactor::InstanceId, size_t>> live;  // (id, join ordinal)
+    size_t joined = 0;
+    size_t peak = 0;
+    auto join = [&] {
+        size_t k = joined++;
+        reactor::InstanceId id = r.add_instance(programs[k % 3]);
+        std::string* log = &out.logs[k];
+        r.instance(id).add_output_sink([log](const std::string& line) { *log += line + "\n"; });
+        live.emplace_back(id, k);
+        peak = std::max(peak, live.size());
+        if (churn) {
+            EXPECT_EQ(r.size(), peak) << "the table outgrew the peak live count";
+        }
+    };
+    for (size_t i = 0; i < kStart; ++i) join();
+    r.boot();
+
+    for (size_t step = 0; step < kSteps; ++step) {
+        for (const auto& [id, k] : live) {
+            if (k % 3 == 0) {
+                r.inject(id, "GO");
+                r.inject(id, "ADD", rt::Value::integer((k + step) % 4 == 0 ? 0 : 1));
+            } else if (k % 3 == 2) {
+                r.inject(id, "ADD", rt::Value::integer(static_cast<int64_t>(step * 10 + k)));
+            }
+        }
+        r.run_round();
+        for (size_t c = 0, n = 2 + step % 4; c < n && !live.empty(); ++c) {
+            size_t p = (step * 7 + c * 11) % live.size();
+            if (churn) {
+                // Input the member never sees, nor the slot's next member.
+                r.inject(live[p].first, "ADD", rt::Value::integer(1'000'000));
+                r.inject(live[p].first, "STOP");
+                r.retire(live[p].first);
+            }
+            out.retired[live[p].second] = true;
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(p));
+        }
+        for (size_t c = 0, n = 2 + step * 3 % 5; c < n; ++c) join();
+        r.boot();
+        r.advance(10 * kMs);
+        r.drain();
+        r.advance(reactor::kTimerGranularity);  // every pending restart is due
+        r.drain();
+        EXPECT_LT(r.next_restart_due(), 0);
+    }
+    for (const auto& [id, k] : live) {
+        EXPECT_EQ(r.instance(id).status(), rt::Engine::Status::Running) << "member " << k;
+        r.inject(id, "STOP");
+    }
+    r.drain();
+    out.logs.resize(joined);
+    out.retired.resize(joined);
+    obs::ProcessStats st = r.fleet_stats();
+    st.clear_measured();
+    out.stats_json = st.to_json();
+    return out;
+}
+
+TEST(Reactor, ChurningFleetIsIdenticalAt1_2_8Workers) {
+    ChurnRun w1 = run_churning_fleet(1);
+    ChurnRun w2 = run_churning_fleet(2);
+    ChurnRun w8 = run_churning_fleet(8);
+    ASSERT_EQ(w1.logs.size(), w2.logs.size());
+    ASSERT_EQ(w1.logs.size(), w8.logs.size());
+    for (size_t k = 0; k < w1.logs.size(); ++k) {
+        EXPECT_EQ(w1.logs[k], w2.logs[k]) << "member " << k << " (2 workers)";
+        EXPECT_EQ(w1.logs[k], w8.logs[k]) << "member " << k << " (8 workers)";
+    }
+    EXPECT_EQ(w1.stats_json, w2.stats_json);
+    EXPECT_EQ(w1.stats_json, w8.stats_json);
+    // Churn around a member changes nothing in it: its output equals the
+    // run where nobody retires, up to its own retirement.
+    ChurnRun ref = run_churning_fleet(1, false);
+    ASSERT_EQ(ref.logs.size(), w1.logs.size());
+    for (size_t k = 0; k < w1.logs.size(); ++k) {
+        if (w1.retired[k]) {
+            EXPECT_EQ(ref.logs[k].compare(0, w1.logs[k].size(), w1.logs[k]), 0)
+                << "member " << k << " (retired)";
+        } else {
+            EXPECT_EQ(w1.logs[k], ref.logs[k]) << "member " << k;
+        }
+    }
+    // The churn reached every kind of entry: faults were restored from
+    // checkpoints, asyncs finished, tickers ticked.
+    EXPECT_EQ(w1.stats_json.find("\"restores\":0"), std::string::npos);
+    EXPECT_EQ(w1.stats_json.find("\"checkpoints\":0"), std::string::npos);
+    auto logged = [&w1](const char* text) {
+        return std::any_of(w1.logs.begin(), w1.logs.end(), [text](const std::string& log) {
+            return log.find(text) != std::string::npos;
+        });
+    };
+    EXPECT_TRUE(logged("[supervisor] restored from checkpoint"));
+    EXPECT_TRUE(logged("done "));
+    EXPECT_TRUE(logged("tick "));
+    EXPECT_TRUE(logged("add "));
 }
 
 TEST(Reactor, ConcurrentInjectAndRetireRaceCompiledMembersSafely) {

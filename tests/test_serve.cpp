@@ -24,7 +24,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "reactor/verdict.hpp"
 #include "serve/client.hpp"
@@ -675,6 +677,54 @@ TEST(Serve, IoThreadsPreserveSemantics) {
     c.ping();
     EXPECT_EQ(c.trace_text(s), "v = 7\nv = 8\n");
     c.bye();
+}
+
+TEST(Serve, InjectsRacingCloseNeverReachTheSlotsNextSession) {
+    // Sessions churn on one connection: each Close retires the session's
+    // reactor member and frees its slot, and the next Open reuses it.
+    // Another connection keeps injecting into whichever session was opened
+    // last, from its io thread, so some injects race the Close that frees
+    // the member and the Open that takes the slot over. Each such inject is
+    // Accepted or Retired; none reaches the slot's next session.
+    ServerConfig cfg;
+    cfg.workers = 2;
+    cfg.io_threads = 2;
+    ServerGuard g(cfg);
+    Client churn;
+    churn.connect(g.server.port(), "counter");
+    std::atomic<uint64_t> latest{churn.open()};
+    std::atomic<bool> done{false};
+    std::thread racer([&] {
+        Client c;
+        c.connect(g.server.port(), "counter");
+        while (!done.load()) {
+            uint64_t target = latest.load();
+            Frame r = c.inject(target, "Restart", static_cast<int64_t>(1'000'000 + target));
+            EXPECT_TRUE(r.verdict == static_cast<uint8_t>(reactor::Verdict::Accepted) ||
+                        r.verdict == static_cast<uint8_t>(reactor::Verdict::Retired));
+        }
+        c.bye();
+    });
+    std::vector<uint64_t> closed;
+    for (int i = 0; i < 200; ++i) {
+        uint64_t s = latest.load();
+        churn.inject(s, "Restart", i);
+        churn.close_session(s);  // flushes s's outputs first
+        closed.push_back(s);
+        latest.store(churn.open());
+    }
+    done.store(true);
+    racer.join();
+    for (size_t i = 0; i < closed.size(); ++i) {
+        uint64_t s = closed[i];
+        std::string own = "v = " + std::to_string(1'000'000 + s);
+        for (const std::string& line : churn.outputs(s)) {
+            EXPECT_TRUE(line == "v = " + std::to_string(i) || line == own)
+                << "session " << s << " got " << line;
+        }
+    }
+    EXPECT_EQ(g.server.live_sessions(), 1u);
+    churn.bye();
 }
 
 TEST(Serve, ShutdownAnnouncesToConnectedClients) {

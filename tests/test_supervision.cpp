@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -473,10 +474,13 @@ TEST(Backpressure, RetiredMembersRejectAndDropQueuedInput) {
     EXPECT_EQ(r.inject(a, "ADD", rt::Value::integer(1)).status,
               reactor::InjectResult::Status::Retired);
     EXPECT_TRUE(r.retired(a));
+    EXPECT_THROW((void)r.instance(a), std::out_of_range);  // destroyed
+    // a's counters stay in the fleet totals; from here only b reacts.
+    uint64_t reactions = r.fleet_stats().reactions;
     EXPECT_TRUE(r.inject(b, "ADD", rt::Value::integer(2)).accepted());
     r.drain();
 
-    EXPECT_EQ(r.instance(a).trace().size(), 0u);  // never saw the ADD
+    EXPECT_EQ(r.fleet_stats().reactions, reactions + 1);  // a never saw its ADD
     r.inject(b, "STOP");
     r.drain();
     EXPECT_EQ(r.instance(b).result().as_int(), 50);
@@ -494,10 +498,15 @@ TEST(Backpressure, InjectRacesAddInstanceAndRetireSafely) {
     r.boot();
 
     // Producers hammer the initial members while the control thread grows
-    // the table past several chunk-internal publications and retires some
-    // members — the pointer-stable table makes this race well-defined.
+    // the table past several chunk-internal publications, retires some
+    // members and reuses their slots. Producers also inject through the
+    // latest added id, by event id and by name, so some of their injects
+    // race the retire that frees the member and the add that reuses its
+    // slot: the pointer-stable table and the generation in the id make
+    // this race well-defined.
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> accepted{0};
+    std::atomic<reactor::InstanceId> latest{r.add_instance(cp)};
     std::vector<std::thread> producers;
     for (int t = 0; t < 4; ++t) {
         producers.emplace_back([&, t] {
@@ -507,20 +516,27 @@ TEST(Backpressure, InjectRacesAddInstanceAndRetireSafely) {
                     static_cast<reactor::InstanceId>((t + n) % kInitial),
                     EventId{0}, rt::Value::integer(1));
                 if (res.accepted()) ++n;
+                reactor::InstanceId churn = latest.load(std::memory_order_relaxed);
+                auto c = t % 2 == 0 ? r.inject(churn, EventId{0}, rt::Value::integer(1))
+                                    : r.inject(churn, "ADD", rt::Value::integer(1));
+                EXPECT_NE(c.status, reactor::InjectResult::Status::UnknownEvent);
             }
             accepted.fetch_add(n, std::memory_order_relaxed);
         });
     }
     for (int growth = 0; growth < 256; ++growth) {
         reactor::InstanceId id = r.add_instance(cp);
-        if (growth % 16 == 0) r.retire(id);
+        latest.store(id, std::memory_order_relaxed);
+        if (growth % 16 == 0) r.retire(id);  // the next add reuses its slot
     }
     stop.store(true, std::memory_order_relaxed);
     for (auto& p : producers) p.join();
 
     r.boot();
     r.drain();
-    EXPECT_EQ(r.size(), kInitial + 256);
+    // Each of the 16 retired slots was reused by the next add: the table
+    // holds the peak live count, kInitial + 1 + 256 - 16.
+    EXPECT_EQ(r.size(), kInitial + 241);
     uint64_t landed = 0;
     for (size_t i = 0; i < kInitial; ++i) {
         landed += static_cast<uint64_t>(
