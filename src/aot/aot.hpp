@@ -6,10 +6,12 @@
 // `ceu_aot_program_t` descriptor (aot_abi.hpp). This module batches a fleet's
 // worth of such TUs, compiles them *once* with the host C compiler into a
 // single shared object, dlopens it, and hands each program back as a
-// descriptor the host::Instance facade can drive in place of an interpreter
-// engine. The unit of compilation is the fleet, not the instance: 10k
-// instances of 20 distinct programs cost 20 TUs and one cc invocation, and
-// every instance is just one calloc'd `ceu_ctx_t`.
+// ProgramHandle. An aot::Context (context.hpp) runs one instance of a
+// handle's program as an rt::Backend, so host::Instance drives it through
+// the same interface as an interpreter engine and never sees the C ABI.
+// The unit of compilation is the fleet, not the instance: 10k instances of
+// 20 distinct programs cost 20 TUs and one cc invocation, and every
+// instance is just one calloc'd `ceu_ctx_t`.
 //
 // Failure policy: building never throws. Every failure path — missing or
 // broken compiler, cc error, dlopen refusal, descriptor/ABI mismatch,

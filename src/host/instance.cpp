@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "aot/context.hpp"
 #include "env/bindings.hpp"
 #include "runtime/snapshot.hpp"
 
@@ -44,102 +45,24 @@ void Instance::init(Config& cfg) {
             throw std::invalid_argument(
                 "compiled (AOT) instances cannot take extra C bindings");
         }
-        if (cfg.aot.desc->fingerprint != rt::program_fingerprint(*cp_)) {
-            throw std::invalid_argument(
-                "AOT handle was compiled from a different program "
-                "(fingerprint mismatch)");
+        backend_ = std::make_unique<aot::Context>(cfg.aot, *cp_);
+    } else {
+        const rt::CBindings* effective = &shared_standard_bindings();
+        if (cfg.bindings != nullptr) {
+            bindings_ = std::make_unique<rt::CBindings>(env::make_standard_bindings());
+            bindings_->merge(*cfg.bindings);
+            effective = bindings_.get();
         }
-        aot_ = cfg.aot;
-        host_api_.user = this;
-        host_api_.trace_line = &Instance::aot_trace_cb;
-        host_api_.obs_begin = &Instance::aot_obs_begin_cb;
-        host_api_.obs_wake = &Instance::aot_obs_wake_cb;
-        host_api_.obs_emit = &Instance::aot_obs_emit_cb;
-        host_api_.obs_timer = &Instance::aot_obs_timer_cb;
-        host_api_.obs_end = &Instance::aot_obs_end_cb;
-        host_api_.output = &Instance::aot_output_cb;
-        ctx_ = aot_.desc->create(&host_api_);
-        if (ctx_ == nullptr) {
-            throw std::runtime_error("AOT context allocation failed");
-        }
-        return;
+        auto engine = std::make_unique<Engine>(*cp_, *effective, cfg.engine);
+        engine_ = engine.get();
+        backend_ = std::move(engine);
     }
-    const rt::CBindings* effective = &shared_standard_bindings();
-    if (cfg.bindings != nullptr) {
-        bindings_ = std::make_unique<rt::CBindings>(env::make_standard_bindings());
-        bindings_->merge(*cfg.bindings);
-        effective = bindings_.get();
-    }
-    engine_ = std::make_unique<Engine>(*cp_, *effective, cfg.engine);
-    // Both backends funnel through push_trace_line, so output sinks see an
-    // identical stream regardless of backend.
-    engine_->on_trace = [this](const std::string& line) { push_trace_line(line); };
-}
-
-Instance::~Instance() {
-    if (ctx_ != nullptr) aot_.desc->destroy(ctx_);
-}
-
-// -- AOT host-api callbacks ---------------------------------------------------
-
-void Instance::push_trace_line(std::string line) {
-    // Collect, then stream: the sinks see the line after it is
-    // (optionally) in the buffer, so a sink may inspect trace().
-    if (collect_trace_) trace_.push_back(line);
-    for (const OutputSink& sink : output_sinks_) sink(line);
-}
-
-void Instance::aot_trace_cb(void* user, const char* line, int32_t len) {
-    static_cast<Instance*>(user)->push_trace_line(
-        std::string(line, len > 0 ? static_cast<size_t>(len) : 0));
-}
-
-void Instance::aot_obs_begin_cb(void* user, int32_t kind, int32_t id,
-                                const char* name, int64_t ts) {
-    auto* self = static_cast<Instance*>(user);
-    if (!self->obs_armed_) return;
-    self->recorder_.begin(static_cast<obs::ReactionKind>(kind), id,
-                          name != nullptr ? name : "", ts);
-}
-
-void Instance::aot_obs_wake_cb(void* user, int32_t gate) {
-    auto* self = static_cast<Instance*>(user);
-    if (self->obs_armed_) self->recorder_.wake(gate);
-}
-
-void Instance::aot_obs_emit_cb(void* user, int32_t event_id, int32_t depth) {
-    auto* self = static_cast<Instance*>(user);
-    if (self->obs_armed_) self->recorder_.emit(event_id, depth);
-}
-
-void Instance::aot_obs_timer_cb(void* user, int32_t gate, int64_t residual) {
-    auto* self = static_cast<Instance*>(user);
-    if (self->obs_armed_) self->recorder_.timer_fire(gate, residual);
-}
-
-void Instance::aot_obs_end_cb(void* user, int32_t status, int64_t result) {
-    auto* self = static_cast<Instance*>(user);
-    if (self->obs_armed_) self->recorder_.end(status, result, 0);
-}
-
-void Instance::aot_output_cb(void* user, int32_t output_id, const char* name,
-                             int64_t value) {
-    // Unhandled-output parity with the interpreter (EmitOutput): outputs
-    // become trace lines. Custom OutputFn bindings are an interpreter-only
-    // feature.
-    (void)output_id;
-    static_cast<Instance*>(user)->push_trace_line(
-        "output " + std::string(name != nullptr ? name : "?") + " = " +
-        std::to_string(value));
-}
-
-rt::Engine::Status Instance::aot_status() const {
-    switch (aot_.desc->status(ctx_)) {
-        case 0: return Engine::Status::Loaded;
-        case 1: return Engine::Status::Running;
-        case 2: return Engine::Status::Terminated;
-        default: return Engine::Status::Faulted;
-    }
+    // Collect, then stream: the sinks see the line after it is (optionally)
+    // in the buffer, so a sink may inspect trace().
+    backend_->on_trace = [this](const std::string& line) {
+        if (collect_trace_) trace_.push_back(line);
+        for (const OutputSink& sink : output_sinks_) sink(line);
+    };
 }
 
 // -- lifecycle ----------------------------------------------------------------
@@ -148,22 +71,13 @@ void Instance::boot() {
     // If the host clock moved before boot (advance()/advance_to() on a
     // not-yet-booted instance — the fleet late-joiner path), the boot
     // reaction happens at that instant, not at the epoch.
-    if (is_compiled()) {
-        aot_.desc->set_boot_clock(ctx_, clock_);
-        aot_.desc->go_init(ctx_);
-    } else {
-        engine_->set_boot_clock(clock_);
-        engine_->go_init();
-    }
+    backend_->set_boot_clock(clock_);
+    backend_->go_init();
     notify_status();
 }
 
 void Instance::reset() {
-    if (is_compiled()) {
-        aot_.desc->reset(ctx_);
-    } else {
-        engine_->reset();
-    }
+    backend_->reset();
     notify_status();
 }
 
@@ -173,11 +87,7 @@ void Instance::power_cycle() {
     // are stamped with the current instant).
     reset();
     note("[crash] engine power-cycled");
-    if (is_compiled()) {
-        aot_.desc->go_init(ctx_);
-    } else {
-        engine_->go_init();
-    }
+    backend_->go_init();
     notify_status();
 }
 
@@ -190,23 +100,14 @@ void Instance::inject(const std::string& event, Value v) {
 }
 
 bool Instance::try_inject(const std::string& event, Value v) {
-    if (is_compiled()) {
-        EventId id = resolve_input(event);
-        if (id == kNoEvent) return false;
-        inject(static_cast<int>(id), v);
-        return true;
-    }
-    bool known = engine_->go_event_by_name(event, v);
-    if (known) notify_status();
-    return known;
+    EventId id = resolve_input(event);
+    if (id == kNoEvent) return false;
+    inject(static_cast<int>(id), v);
+    return true;
 }
 
 void Instance::inject(int event_id, Value v) {
-    if (is_compiled()) {
-        aot_.desc->go_event(ctx_, event_id, v.as_int());
-    } else {
-        engine_->go_event(event_id, v);
-    }
+    backend_->go_event(event_id, v);
     notify_status();
 }
 
@@ -220,41 +121,24 @@ void Instance::advance(Micros delta) {
     // This matches the compiled harness (`ceu_go_time(ceu_now + v)`), so
     // interpreter and cgen traces stay byte-compatible.
     clock_ = std::max(clock_, now()) + delta;
-    if (is_compiled()) {
-        aot_.desc->go_time(ctx_, clock_);
-    } else {
-        engine_->go_time(clock_);
-    }
+    backend_->go_time(clock_);
     notify_status();
 }
 
 void Instance::advance_to(Micros abs_us) {
     clock_ = std::max(clock_, abs_us);
-    if (is_compiled()) {
-        aot_.desc->go_time(ctx_, clock_);
-    } else {
-        engine_->go_time(clock_);
-    }
+    backend_->go_time(clock_);
     notify_status();
 }
 
 bool Instance::step_async() {
-    bool more = is_compiled() ? aot_.desc->go_async(ctx_) != 0 : engine_->go_async();
+    bool more = backend_->go_async();
     notify_status();
     return more;
 }
 
 bool Instance::run_async_slices(uint64_t n) {
-    bool more;
-    if (is_compiled()) {
-        more = aot_.desc->go_async_n(ctx_, static_cast<int64_t>(n)) != 0;
-    } else {
-        more = false;
-        for (uint64_t k = 0; k < n; ++k) {
-            more = engine_->go_async();
-            if (!more) break;
-        }
-    }
+    bool more = backend_->go_async_n(n);
     notify_status();
     return more;
 }
@@ -356,11 +240,6 @@ Engine::Status Instance::resume(const env::Script& script, Diagnostics& diags) {
 
 namespace {
 constexpr char kHostMagic[8] = {'C', 'E', 'U', 'H', 'S', 'T', '0', '1'};
-// Compiled-backend snapshots: the engine blob is replaced by the raw
-// ceu_ctx_t image plus the descriptor fingerprint that produced it. The
-// image may hold .so-relative pointers (string literals), so the blob is
-// same-process / same-image only — which restore enforces via fingerprint.
-constexpr char kAotMagic[8] = {'C', 'E', 'U', 'A', 'O', 'T', '0', '1'};
 
 void write_stats(rt::snap::ByteWriter& w, const obs::ProcessStats& s) {
     w.u64(s.reactions);
@@ -416,26 +295,14 @@ obs::ProcessStats read_stats(rt::snap::ByteReader& r) {
 std::vector<uint8_t> Instance::save() const {
     std::vector<uint8_t> out;
     rt::snap::ByteWriter w(out);
-    if (is_compiled()) {
-        w.bytes(reinterpret_cast<const uint8_t*>(kAotMagic), sizeof kAotMagic);
-        w.i64(clock_);
-        w.u64(aot_.desc->fingerprint);
-        std::vector<uint8_t> ctx(aot_.desc->ctx_size);
-        aot_.desc->snapshot(ctx_, ctx.data());
-        w.u32(static_cast<uint32_t>(ctx.size()));
-        w.bytes(ctx.data(), ctx.size());
-        w.u64(recorder_.seq());
-        write_stats(w, recorder_.stats());
-        return out;
-    }
     w.bytes(reinterpret_cast<const uint8_t*>(kHostMagic), sizeof kHostMagic);
     w.i64(clock_);
-    // Length-prefixed engine blob so the host layer can add fields after
-    // it without version-coupling to the engine format.
-    std::vector<uint8_t> eng;
-    engine_->save(eng);
-    w.u32(static_cast<uint32_t>(eng.size()));
-    w.bytes(eng.data(), eng.size());
+    // Length-prefixed backend payload so the host layer can add fields
+    // after it without version-coupling to either backend's format.
+    std::vector<uint8_t> payload;
+    backend_->save(payload);
+    w.u32(static_cast<uint32_t>(payload.size()));
+    w.bytes(payload.data(), payload.size());
     w.u64(recorder_.seq());
     write_stats(w, recorder_.stats());
     return out;
@@ -443,73 +310,22 @@ std::vector<uint8_t> Instance::save() const {
 
 void Instance::load(const std::vector<uint8_t>& blob) {
     rt::snap::ByteReader r(blob.data(), blob.size());
-    uint8_t magic[sizeof kHostMagic];
-    for (uint8_t& b : magic) b = r.u8();
-    if (is_compiled()) {
-        if (std::memcmp(magic, kHostMagic, sizeof kHostMagic) == 0) {
-            throw rt::snap::SnapshotError(
-                "interpreter (CEUHST01) snapshot cannot restore into a "
-                "compiled (AOT) instance");
-        }
-        if (std::memcmp(magic, kAotMagic, sizeof kAotMagic) != 0) {
-            throw rt::snap::SnapshotError(
-                "bad magic (not a CEUAOT01 instance snapshot)");
-        }
-        Micros clock = r.i64();
-        uint64_t fp = r.u64();
-        if (fp != aot_.desc->fingerprint) {
-            throw rt::snap::SnapshotError(
-                "snapshot was taken by a different compiled program "
-                "(fingerprint mismatch)");
-        }
-        uint32_t ctx_len = r.count(1);
-        if (ctx_len != aot_.desc->ctx_size || r.remaining() < ctx_len) {
-            throw rt::snap::SnapshotError("bad context image size");
-        }
-        std::vector<uint8_t> ctx(blob.end() - static_cast<std::ptrdiff_t>(r.remaining()),
-                                 blob.end() - static_cast<std::ptrdiff_t>(r.remaining()) +
-                                     static_cast<std::ptrdiff_t>(ctx_len));
-        for (uint32_t i = 0; i < ctx_len; ++i) (void)r.u8();
-        uint64_t rec_seq = r.u64();
-        obs::ProcessStats stats = read_stats(r);
-        if (!r.done()) {
-            throw rt::snap::SnapshotError("trailing bytes after instance state");
-        }
-        if (aot_.desc->restore(ctx_, ctx.data(), ctx.size()) == 0) {
-            throw rt::snap::SnapshotError("compiled context refused the image");
-        }
-        clock_ = clock;
-        recorder_.restore(stats, rec_seq);
-        notify_status();
-        return;
-    }
-    if (std::memcmp(magic, kAotMagic, sizeof kAotMagic) == 0) {
-        throw rt::snap::SnapshotError(
-            "compiled (CEUAOT01) snapshot cannot restore into an "
-            "interpreter instance");
-    }
-    if (std::memcmp(magic, kHostMagic, sizeof kHostMagic) != 0) {
+    if (std::memcmp(r.bytes(sizeof kHostMagic), kHostMagic, sizeof kHostMagic) != 0) {
         throw rt::snap::SnapshotError("bad magic (not a CEUHST01 instance snapshot)");
     }
     Micros clock = r.i64();
-    uint32_t eng_len = r.count(1);
-    if (r.remaining() < eng_len) {
-        throw rt::snap::SnapshotError("truncated engine blob");
-    }
-    const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(blob.size() - r.remaining());
-    std::vector<uint8_t> eng(blob.begin() + off,
-                             blob.begin() + off + static_cast<std::ptrdiff_t>(eng_len));
-    // Skip over the engine bytes in the outer reader, then parse the tail
-    // *before* mutating anything: Engine::load commits atomically, and the
-    // recorder must only be touched if the whole blob validates.
-    for (uint32_t i = 0; i < eng_len; ++i) (void)r.u8();
+    uint32_t payload_len = r.count(1);
+    const uint8_t* payload = r.bytes(payload_len);
+    // Parse the tail *before* mutating anything: Backend::load commits
+    // atomically, and the recorder must only be touched if the whole blob
+    // validates.
     uint64_t rec_seq = r.u64();
     obs::ProcessStats stats = read_stats(r);
     if (!r.done()) {
         throw rt::snap::SnapshotError("trailing bytes after instance state");
     }
 
-    engine_->load(eng.data(), eng.size());
+    backend_->load(payload, payload_len);
     clock_ = clock;
     recorder_.restore(stats, rec_seq);
     notify_status();
@@ -517,18 +333,10 @@ void Instance::load(const std::vector<uint8_t>& blob) {
 
 // -- observability ------------------------------------------------------------
 
-void Instance::arm_recorder() {
-    if (is_compiled()) {
-        obs_armed_ = true;
-        return;
-    }
-    engine_->set_recorder(&recorder_);
-}
-
 void Instance::add_sink(obs::Sink* sink) {
     recorder_.add_sink(sink);
     recorder_.set_spans_enabled(true);
-    arm_recorder();
+    backend_->set_recorder(&recorder_);
 }
 
 void Instance::own_sink(std::unique_ptr<obs::Sink> sink) {
@@ -537,26 +345,23 @@ void Instance::own_sink(std::unique_ptr<obs::Sink> sink) {
 }
 
 void Instance::observe_stats() {
-    bool armed = is_compiled() ? obs_armed_ : engine_->recorder() != nullptr;
-    if (!armed) {
+    if (backend_->recorder() == nullptr) {
         recorder_.set_spans_enabled(recorder_.has_sinks());
-        arm_recorder();
+        backend_->set_recorder(&recorder_);
     }
 }
 
 obs::ProcessStats Instance::snapshot() const {
     obs::ProcessStats s = recorder_.stats();
     // Backend-lifetime gauges beat the recorder's (possibly late-armed)
-    // window for the fields the backend tracks unconditionally. The
-    // compiled backend counts reactions only; instruction/queue gauges are
-    // an interpreter-side feature.
-    s.reactions = std::max<uint64_t>(s.reactions, reactions());
-    if (is_compiled()) return s;
-    s.instructions = std::max<uint64_t>(s.instructions, engine_->instructions_executed());
+    // window for the fields the backend tracks unconditionally. A compiled
+    // context counts reactions only; its instruction/queue gauges read 0.
+    s.reactions = std::max<uint64_t>(s.reactions, backend_->reactions());
+    s.instructions = std::max<uint64_t>(s.instructions, backend_->instructions_executed());
     s.max_reaction_instructions = std::max<uint64_t>(s.max_reaction_instructions,
-                                                     engine_->max_reaction_instructions());
-    s.queue_peak = std::max(s.queue_peak, engine_->queue_peak());
-    s.timers_peak = std::max(s.timers_peak, engine_->pending_timers());
+                                                     backend_->max_reaction_instructions());
+    s.queue_peak = std::max(s.queue_peak, backend_->queue_peak());
+    s.timers_peak = std::max(s.timers_peak, backend_->pending_timers());
     return s;
 }
 
@@ -592,49 +397,7 @@ void Instance::notify_status() {
 
 // -- traces -------------------------------------------------------------------
 
-void Instance::note(const std::string& line) {
-    // Through engine_->trace on the interpreter so engine-side trace
-    // filtering (if any) stays authoritative; straight to the buffer on
-    // the compiled backend.
-    if (is_compiled()) {
-        push_trace_line(line);
-    } else {
-        engine_->trace(line);
-    }
-}
-
-// -- backend-neutral introspection --------------------------------------------
-
-rt::Engine::Status Instance::status() const {
-    return is_compiled() ? aot_status() : engine_->status();
-}
-
-rt::Value Instance::result() const {
-    if (is_compiled()) return rt::Value::integer(aot_.desc->result(ctx_));
-    return engine_->result();
-}
-
-size_t Instance::state_bytes() const {
-    return is_compiled() ? aot_.desc->ctx_size : engine_->ram_model_bytes();
-}
-
-Micros Instance::now() const {
-    return is_compiled() ? aot_.desc->now(ctx_) : engine_->now();
-}
-
-uint64_t Instance::reactions() const {
-    return is_compiled() ? aot_.desc->reactions(ctx_) : engine_->reactions();
-}
-
-Micros Instance::next_timer_deadline() const {
-    return is_compiled() ? aot_.desc->next_deadline(ctx_)
-                         : engine_->next_timer_deadline();
-}
-
-bool Instance::has_async_work() const {
-    return is_compiled() ? aot_.desc->has_async(ctx_) != 0
-                         : engine_->has_async_work();
-}
+void Instance::note(const std::string& line) { backend_->trace(line); }
 
 std::string Instance::trace_text() const {
     std::string out;

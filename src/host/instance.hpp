@@ -12,21 +12,22 @@
 //   - the observability layer: sink registration, the reaction Recorder,
 //     and the fused ProcessStats snapshot the bench exporters serialize.
 //
-// Observation is off by default: the engine's Recorder pointer stays null
+// Observation is off by default: the backend's Recorder pointer stays null
 // and every hook site is one predicted branch (the <1% overhead budget the
 // obs tests assert). Attaching a sink — or calling observe_stats() — arms
 // the recorder for the rest of the instance's life.
 //
-// Backends: an Instance normally wraps an interpreter rt::Engine. When
-// Config::aot carries a loaded aot::ProgramHandle, the same facade drives
-// the AOT-compiled program instead — one calloc'd C context, reactions
-// through the descriptor's entry points, trace/obs/output traffic routed
-// back through the ceu_host_api_t vtable into the same trace buffer and
-// Recorder. The two backends keep byte-identical traces for the same input
-// sequence (the conformance differ's aot-in-reactor oracle asserts this);
-// what the compiled backend does NOT support: custom C bindings (extras in
-// Config::bindings are rejected), string-valued injections, and engine()
-// introspection (it throws — use the backend-neutral accessors).
+// Backends: an Instance drives one rt::Backend (runtime/backend.hpp) and
+// nothing else — the interpreter's rt::Engine by default, or, when
+// Config::aot carries a loaded aot::ProgramHandle, an aot::Context over
+// one compiled C context. Every entry point, gauge and snapshot goes
+// through that one interface; the Instance adds the clock, traces, sinks,
+// the recorder and the snapshot frame around it. The two backends keep
+// byte-identical traces for the same input sequence (the conformance
+// differ's aot-in-reactor oracle asserts this); what the compiled backend
+// does NOT support: custom C bindings (extras in Config::bindings are
+// rejected), string-valued injections, and engine() introspection (it
+// throws — use the backend-neutral accessors).
 #pragma once
 
 #include <functional>
@@ -39,6 +40,7 @@
 #include "codegen/flatten.hpp"
 #include "env/script.hpp"
 #include "obs/obs.hpp"
+#include "runtime/backend.hpp"
 #include "runtime/cbind.hpp"
 #include "runtime/engine.hpp"
 
@@ -75,7 +77,6 @@ class Instance {
 
     Instance(const Instance&) = delete;
     Instance& operator=(const Instance&) = delete;
-    ~Instance();
 
     // -- lifecycle ------------------------------------------------------------
 
@@ -142,16 +143,20 @@ class Instance {
 
     // -- checkpoint / restore -------------------------------------------------
 
-    /// Serializes the instance at a reaction boundary: engine snapshot
-    /// (see Engine::save) + host clock + recorder counters. Collected
-    /// trace lines are *not* part of the blob — a checkpoint captures
-    /// state, and restore determinism is asserted over the trace produced
-    /// *after* the restore point.
+    /// Serializes the instance at a reaction boundary into one frame for
+    /// both backends: "CEUHST01", host clock, the length-prefixed backend
+    /// payload (Backend::save: a CEUENG01 engine blob, or a compiled
+    /// context's CEUAOT01 fingerprint + image), recorder counters.
+    /// Collected trace lines are *not* part of the blob — a checkpoint
+    /// captures state, and restore determinism is asserted over the trace
+    /// produced *after* the restore point.
     [[nodiscard]] std::vector<uint8_t> save() const;
-    /// Restores a blob produced by save() into this instance. The compiled
-    /// program must fingerprint-match the saving instance's (same source
-    /// compiled in another process qualifies). Throws rt::snap::
-    /// SnapshotError on mismatch or corruption, leaving state untouched.
+    /// Restores a blob produced by save() into this instance. The payload
+    /// must come from the same backend and a fingerprint-equal program: an
+    /// interpreter payload from the same source compiled in another
+    /// process qualifies, a compiled one only from this process. Throws
+    /// rt::snap::SnapshotError on a foreign payload, mismatch or
+    /// corruption, leaving state untouched.
     void load(const std::vector<uint8_t>& blob);
 
     // -- observability --------------------------------------------------------
@@ -235,46 +240,34 @@ class Instance {
         }
         return *engine_;
     }
-    [[nodiscard]] rt::Engine::Status status() const;
-    [[nodiscard]] rt::Value result() const;
+    [[nodiscard]] rt::Engine::Status status() const { return backend_->status(); }
+    [[nodiscard]] rt::Value result() const { return backend_->result(); }
     [[nodiscard]] Micros clock() const { return clock_; }
     [[nodiscard]] const flat::CompiledProgram& program() const { return *cp_; }
 
     // Backend-neutral runtime gauges (what after_reaction needs).
     [[nodiscard]] bool is_compiled() const { return engine_ == nullptr; }
     /// Latest wall-clock instant the backend has seen (engine `now`).
-    [[nodiscard]] Micros now() const;
+    [[nodiscard]] Micros now() const { return backend_->now(); }
     /// Lifetime reaction count (checkpoint cadence is keyed on this).
-    [[nodiscard]] uint64_t reactions() const;
+    [[nodiscard]] uint64_t reactions() const { return backend_->reactions(); }
     /// Earliest armed timer deadline, -1 when none.
-    [[nodiscard]] Micros next_timer_deadline() const;
-    [[nodiscard]] bool has_async_work() const;
+    [[nodiscard]] Micros next_timer_deadline() const {
+        return backend_->next_timer_deadline();
+    }
+    [[nodiscard]] bool has_async_work() const { return backend_->has_async_work(); }
     /// Exact bytes of per-instance runtime state: the interpreter's RAM
     /// model (slots, gates, containers at current capacity) or the
     /// compiled backend's context size. The bench derives
     /// bytes_per_instance from this instead of boot RSS deltas, which
     /// swung ~1.7 KB with allocator caching across worker counts.
-    [[nodiscard]] size_t state_bytes() const;
+    [[nodiscard]] size_t state_bytes() const { return backend_->state_bytes(); }
 
   private:
     void init(Config& cfg);
-    void arm_recorder();
     /// Fans a status change out to status sinks (no-op without sinks).
     void notify_status();
     rt::Engine::Status replay(const env::Script& script);
-    [[nodiscard]] rt::Engine::Status aot_status() const;
-    void push_trace_line(std::string line);
-
-    // ceu_host_api_t callbacks (user == the owning Instance).
-    static void aot_trace_cb(void* user, const char* line, int32_t len);
-    static void aot_obs_begin_cb(void* user, int32_t kind, int32_t id,
-                                 const char* name, int64_t ts);
-    static void aot_obs_wake_cb(void* user, int32_t gate);
-    static void aot_obs_emit_cb(void* user, int32_t event_id, int32_t depth);
-    static void aot_obs_timer_cb(void* user, int32_t gate, int64_t residual);
-    static void aot_obs_end_cb(void* user, int32_t status, int64_t result);
-    static void aot_output_cb(void* user, int32_t output_id, const char* name,
-                              int64_t value);
 
     std::unique_ptr<flat::CompiledProgram> owned_cp_;  // set by the source ctor
     std::shared_ptr<const flat::CompiledProgram> shared_cp_;  // fleet ctor
@@ -282,15 +275,11 @@ class Instance {
     /// Only populated when the host supplied extra bindings; instances on
     /// the pure standard set share one process-wide immutable copy.
     std::unique_ptr<rt::CBindings> bindings_;
-    std::unique_ptr<rt::Engine> engine_;
-    /// AOT backend (engine_ stays null): the pinned program handle, the
-    /// calloc'd C context, and the callback vtable the context holds a
-    /// pointer into (so the Instance must not move — it doesn't; it is
-    /// non-copyable and reactor slots hold it by unique_ptr).
-    aot::ProgramHandle aot_;
-    void* ctx_ = nullptr;
-    ceu_host_api_t host_api_{};
-    bool obs_armed_ = false;
+    /// The backend's trace hook captures `this`, so an Instance must not
+    /// move — it doesn't; it is non-copyable and reactor slots hold it by
+    /// unique_ptr.
+    std::unique_ptr<rt::Backend> backend_;
+    rt::Engine* engine_ = nullptr;  // backend_, when it is the interpreter
     obs::Recorder recorder_;
     std::vector<std::unique_ptr<obs::Sink>> owned_sinks_;
     std::vector<OutputSink> output_sinks_;

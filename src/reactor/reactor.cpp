@@ -59,7 +59,7 @@ Reactor::~Reactor() {
     if (!threads_.empty()) {
         {
             std::lock_guard<std::mutex> lk(pool_mu_);
-            cmd_ = Cmd::Exit;
+            exit_ = true;
             ++generation_;
         }
         pool_cv_.notify_all();
@@ -195,7 +195,10 @@ const MemberState& Reactor::supervision(InstanceId id) const {
 }
 
 void Reactor::boot() {
-    dispatch(Cmd::Boot);
+    // The control thread owns every shard between rounds (restart() relies
+    // on the same), so it boots the fresh members itself, shard by shard:
+    // no pool wake-up and barrier for a few new members.
+    for (Shard& sh : shards_) boot_shard(sh);
 }
 
 void Reactor::boot_shard(Shard& sh) {
@@ -282,7 +285,7 @@ void Reactor::advance(Micros delta) {
 // -- rounds -------------------------------------------------------------------
 
 void Reactor::run_round() {
-    dispatch(Cmd::Round);
+    dispatch_round();
     if (on_round_end) on_round_end();
 }
 
@@ -692,20 +695,13 @@ void Reactor::run_shard_round(Shard& sh) {
 
 // -- worker pool --------------------------------------------------------------
 
-void Reactor::dispatch(Cmd cmd) {
+void Reactor::dispatch_round() {
     if (threads_.empty()) {
-        for (Shard& sh : shards_) {
-            if (cmd == Cmd::Boot) {
-                boot_shard(sh);
-            } else {
-                run_shard_round(sh);
-            }
-        }
+        for (Shard& sh : shards_) run_shard_round(sh);
         return;
     }
     {
         std::lock_guard<std::mutex> lk(pool_mu_);
-        cmd_ = cmd;
         done_count_ = 0;
         round_fini_.store(0, std::memory_order_relaxed);
         ++generation_;
@@ -719,22 +715,15 @@ void Reactor::worker_main(size_t shard_idx) {
     if (cfg_.pin_workers) pin_self_to_allowed_cpu(shard_idx);
     uint64_t seen = 0;
     for (;;) {
-        Cmd cmd;
         {
             std::unique_lock<std::mutex> lk(pool_mu_);
             pool_cv_.wait(lk, [&] { return generation_ != seen; });
             seen = generation_;
-            cmd = cmd_;
+            if (exit_) return;
         }
-        if (cmd == Cmd::Exit) return;
-        Shard& sh = shards_[shard_idx];
-        if (cmd == Cmd::Boot) {
-            boot_shard(sh);
-        } else {
-            run_shard_round(sh);
-            round_fini_.fetch_add(1, std::memory_order_acq_rel);
-            steal_loop(shard_idx);  // workers exist only with > 1 shard
-        }
+        run_shard_round(shards_[shard_idx]);
+        round_fini_.fetch_add(1, std::memory_order_acq_rel);
+        steal_loop(shard_idx);  // workers exist only with > 1 shard
         {
             std::lock_guard<std::mutex> lk(pool_mu_);
             if (++done_count_ == threads_.size()) done_cv_.notify_one();

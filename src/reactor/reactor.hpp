@@ -164,8 +164,9 @@ class Reactor {
     InstanceId add_instance(std::shared_ptr<const flat::CompiledProgram> cp,
                             host::Config hcfg = {});
 
-    /// Boots the members added since the last boot (shard-parallel, in
-    /// add order within a shard). Costs O(new members), not O(fleet).
+    /// Boots the members added since the last boot, on the calling
+    /// (control) thread, shard by shard and in add order within a shard.
+    /// Costs O(new members), not O(fleet), and no worker wake-up.
     void boot();
 
     /// Removes `id` from the fleet: its counters fold into fleet_stats(),
@@ -389,8 +390,6 @@ class Reactor {
         std::array<uint64_t, 4> phase_ns{};
     };
 
-    enum class Cmd : uint8_t { Round, Boot, Exit };
-
     // Pointer-stable instance table: a fixed array of lazily allocated
     // chunks. Slots never move (atomics and worker-owned state live in
     // them), and a slot is visible to injector threads only after
@@ -433,7 +432,9 @@ class Reactor {
     /// stamped with its supervision counters.
     [[nodiscard]] static obs::ProcessStats member_stats(const Slot& sl);
 
-    void dispatch(Cmd cmd);
+    /// Runs one round on every shard: inline with one shard, else on the
+    /// pool, returning once every worker finished.
+    void dispatch_round();
     void worker_main(size_t shard_idx);
     void boot_shard(Shard& sh);
     void run_shard_round(Shard& sh);
@@ -491,7 +492,7 @@ class Reactor {
     std::condition_variable pool_cv_;   // control -> workers: new generation
     std::condition_variable done_cv_;   // workers -> control: all finished
     uint64_t generation_ = 0;
-    Cmd cmd_ = Cmd::Round;
+    bool exit_ = false;  // workers return at the next generation
     size_t done_count_ = 0;
 };
 

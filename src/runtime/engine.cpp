@@ -360,6 +360,15 @@ bool Engine::go_async() {
     return false;
 }
 
+bool Engine::go_async_n(uint64_t n) {
+    bool more = false;
+    for (uint64_t k = 0; k < n; ++k) {
+        more = go_async();
+        if (!more) break;
+    }
+    return more;
+}
+
 // ---------------------------------------------------------------------------
 // Trail destruction (paper §4.3)
 // ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@
 //   go_time(now)       wall-clock advance; runs one reaction per expiring
 //                      deadline group, with residual-delta compensation
 //   go_async()         one round-robin slice of one asynchronous block
+// The engine is the interpreter behind rt::Backend (runtime/backend.hpp),
+// the interface host::Instance drives.
 //
 // A reaction chain drains a priority queue of *tracks* (continuation pcs).
 // Freshly awakened tracks run at the highest priority; rejoin continuations
@@ -25,13 +27,10 @@
 #include <vector>
 
 #include "codegen/flatten.hpp"
+#include "runtime/backend.hpp"
 #include "runtime/cbind.hpp"
 #include "runtime/timerwheel.hpp"
 #include "runtime/value.hpp"
-
-namespace ceu::obs {
-class Recorder;
-}
 
 namespace ceu::rt {
 
@@ -97,9 +96,8 @@ struct EngineOptions {
 #endif
 };
 
-class Engine {
+class Engine final : public Backend {
   public:
-    enum class Status { Loaded, Running, Faulted, Terminated };
     using Options = EngineOptions;
 
     /// What went wrong when a trapped fault moved the engine to
@@ -119,17 +117,18 @@ class Engine {
 
     // -- the four-entry reactive API (paper §5) ------------------------------
 
-    void go_init();
-    void go_event(int event_id, Value v = Value::integer(0));
+    void go_init() override;
+    void go_event(int event_id, Value v = Value::integer(0)) override;
     /// Thin resolve-once wrapper over go_event: interns `name` to its dense
     /// EventId (O(1) against the sema index) and delivers by id. Returns
     /// false if the name is unknown. Hot paths should resolve once and
     /// call go_event directly.
     bool go_event_by_name(const std::string& name, Value v = Value::integer(0));
-    void go_time(Micros now);
+    void go_time(Micros now) override;
     /// Runs one slice of the current async (round-robin). Returns true if
     /// asynchronous work remains afterwards.
-    bool go_async();
+    bool go_async() override;
+    bool go_async_n(uint64_t n) override;
 
     /// Seeds the wall-clock of a not-yet-booted engine: the boot reaction
     /// (and every timer it arms) is stamped `t` instead of 0. go_time
@@ -137,7 +136,7 @@ class Engine {
     /// reactions to run), so late joiners in a fleet need this to boot at
     /// the fleet instant rather than at the epoch. Clocks never rewind;
     /// no-op unless Loaded.
-    void set_boot_clock(Micros t) {
+    void set_boot_clock(Micros t) override {
         if (status_ == Status::Loaded) now_ = std::max(now_, t);
     }
 
@@ -148,14 +147,14 @@ class Engine {
     /// again. Wall-clock time (`now()`) persists: reboots don't travel
     /// back in time. Cumulative counters (reactions, instructions) persist
     /// too. Callable from Running, Faulted or Terminated.
-    void reset();
+    void reset() override;
 
-    [[nodiscard]] bool has_async_work() const { return alive_asyncs() > 0; }
-    [[nodiscard]] Status status() const { return status_; }
-    [[nodiscard]] Value result() const { return result_; }
+    [[nodiscard]] bool has_async_work() const override { return alive_asyncs() > 0; }
+    [[nodiscard]] Status status() const override { return status_; }
+    [[nodiscard]] Value result() const override { return result_; }
     /// Set while status() == Faulted; cleared by reset().
     [[nodiscard]] const std::optional<FaultInfo>& fault() const { return fault_; }
-    [[nodiscard]] Micros now() const { return now_; }
+    [[nodiscard]] Micros now() const override { return now_; }
     /// The timestamp attributed to the current reaction chain (§2.3): the
     /// expired deadline for timer reactions, the arrival instant for
     /// events. C bindings that model the physical world must use this, not
@@ -173,7 +172,7 @@ class Engine {
     /// values into the engine's own slot vector are rebased to offsets
     /// (restorable anywhere), while pointers into host memory are kept
     /// verbatim and only survive a same-process restore.
-    void save(std::vector<uint8_t>& out) const;
+    void save(std::vector<uint8_t>& out) const override;
 
     /// Restores state previously captured by save(). The engine must have
     /// been constructed over a structurally identical program (validated
@@ -183,7 +182,7 @@ class Engine {
     /// blobs carry every one their engine spawned); a blob with two live
     /// contexts of one async block is corrupt. Throws snap::SnapshotError on
     /// any mismatch, truncation or corruption, leaving the engine untouched.
-    void load(const uint8_t* data, size_t size);
+    void load(const uint8_t* data, size_t size) override;
     void load(const std::vector<uint8_t>& blob) { load(blob.data(), blob.size()); }
 
     /// FNV-1a hash of the flat code structure (instructions, gates, slot
@@ -196,14 +195,16 @@ class Engine {
     // -- introspection (tests, benches) ---------------------------------------
 
     [[nodiscard]] int active_gate_count() const;
-    [[nodiscard]] uint64_t reactions() const { return reactions_; }
-    [[nodiscard]] uint64_t instructions_executed() const { return instructions_; }
+    [[nodiscard]] uint64_t reactions() const override { return reactions_; }
+    [[nodiscard]] uint64_t instructions_executed() const override { return instructions_; }
     /// Largest reaction chain observed, in instructions — the §2.5 bounded-
     /// execution property made measurable.
-    [[nodiscard]] uint64_t max_reaction_instructions() const { return max_reaction_; }
-    [[nodiscard]] size_t pending_timers() const { return timers_.size(); }
+    [[nodiscard]] uint64_t max_reaction_instructions() const override {
+        return max_reaction_;
+    }
+    [[nodiscard]] size_t pending_timers() const override { return timers_.size(); }
     /// Earliest armed wall-clock deadline, or -1 if no timer is pending.
-    [[nodiscard]] Micros next_timer_deadline() const {
+    [[nodiscard]] Micros next_timer_deadline() const override {
         return timers_.empty() ? -1 : timers_.next_deadline();
     }
     [[nodiscard]] const std::vector<Value>& data() const { return data_; }
@@ -212,19 +213,13 @@ class Engine {
     [[nodiscard]] std::optional<Value> var(const std::string& name) const;
 
     /// Most tracks ever queued at once — the trail high-water mark.
-    [[nodiscard]] size_t queue_peak() const { return queue_peak_; }
-
-    /// Attaches (or detaches, with nullptr) a reaction-span recorder. The
-    /// recorder must outlive the engine or be detached first. When null —
-    /// the default — every observability hook is one pointer test; this is
-    /// the zero-overhead-when-off contract the obs tests assert.
-    void set_recorder(obs::Recorder* rec) { obs_ = rec; }
-    [[nodiscard]] obs::Recorder* recorder() const { return obs_; }
+    [[nodiscard]] size_t queue_peak() const override { return queue_peak_; }
 
     /// Modeled RAM of the static runtime state, in bytes: the slot vector,
     /// gate flags, timer entries and track-queue capacity. Used by the
-    /// Table 1 reproduction.
+    /// Table 1 reproduction, and the interpreter's state_bytes().
     [[nodiscard]] size_t ram_model_bytes() const;
+    [[nodiscard]] size_t state_bytes() const override { return ram_model_bytes(); }
 
     /// Engine self-checks, run after every reaction when
     /// options.check_invariants is on: no stuck tracks or live suspended
@@ -232,13 +227,6 @@ class Engine {
     /// in-range gate, and a Running engine has something left to wake.
     /// Returns the list of violations (empty = healthy).
     [[nodiscard]] std::vector<std::string> verify_invariants() const;
-
-    /// Trace hook: receives one line per `_trace`-style binding call; the
-    /// env module wires `_printf` and friends into it.
-    std::function<void(const std::string&)> on_trace;
-    void trace(const std::string& line) {
-        if (on_trace) on_trace(line);
-    }
 
     /// Fault hook: invoked (if set) when a trapped fault moves the engine
     /// to Status::Faulted. The engine is safe to `reset()` from inside the
@@ -321,7 +309,6 @@ class Engine {
     uint64_t instructions_ = 0;
     int cur_prio_ = flat::kNormalPrio;
     size_t queue_peak_ = 0;
-    obs::Recorder* obs_ = nullptr;
 
     // -- scheduling -----------------------------------------------------------
 

@@ -67,6 +67,13 @@ class ByteReader {
         return v;
     }
     int64_t i64() { return static_cast<int64_t>(u64()); }
+    /// The next `n` bytes, in place.
+    const uint8_t* bytes(size_t n) {
+        need(n);
+        const uint8_t* at = p_;
+        p_ += n;
+        return at;
+    }
     std::string str() {
         uint32_t n = u32();
         need(n);

@@ -370,6 +370,14 @@ void Server::io_main(size_t idx) {
                 ::epoll_ctl(io.epfd, EPOLL_CTL_ADD, c->fd, &ev);
             }
             io.staging.clear();
+            // Conns dropped by control. This thread marked each dead and
+            // took it out of the epoll set in an earlier pass, before its
+            // ConnDead op, so once it is off io.conns nothing here reaches it.
+            if (!io.husks.empty()) {
+                std::erase_if(io.conns, [](Conn* c) { return c->dead.load(); });
+                held_conns_.fetch_sub(io.husks.size(), std::memory_order_release);
+                io.husks.clear();
+            }
         }
         bool kicked = false;
         for (int i = 0; i < n; ++i) {
@@ -387,10 +395,7 @@ void Server::io_main(size_t idx) {
         }
         if (kicked) {
             // Control filled outboxes (round outputs, replies) — flush all.
-            io.conns.erase(
-                std::remove_if(io.conns.begin(), io.conns.end(),
-                               [](Conn* c) { return c->dead.load(); }),
-                io.conns.end());
+            std::erase_if(io.conns, [](Conn* c) { return c->dead.load(); });
             for (Conn* c : io.conns) owner_flush(c);
         }
     }
@@ -457,7 +462,8 @@ void Server::control_main() {
     }
     for (auto& [fd, conn] : conns_) ::close(fd);
     conns_.clear();
-    dead_conns_.clear();
+    for (auto& io : io_) io->husks.clear();
+    held_conns_.store(0, std::memory_order_release);
     state_.store(State::Stopped, std::memory_order_release);
 }
 
@@ -471,6 +477,7 @@ void Server::accept_ready() {
         auto conn = std::make_unique<Conn>();
         conn->fd = fd;
         counters_.connections.fetch_add(1, std::memory_order_relaxed);
+        held_conns_.fetch_add(1, std::memory_order_release);
         Conn* raw = conn.get();
         if (!io_.empty()) {
             size_t idx = static_cast<size_t>(fd) % io_.size();
@@ -810,21 +817,26 @@ void Server::drop_conn(Conn* conn) {
             if (st->conn_fd == conn->fd) st->conn_fd = -1;
         }
     }
-    std::unordered_set<SessionId>().swap(conn->sessions);
-    int fd = conn->fd;
-    auto it = conns_.find(fd);
-    if (it != conns_.end() && it->second.get() == conn) {
-        ::close(fd);
-        conn->fd = -1;
-        // The owning io thread may still hold the pointer in its conn list
-        // until its next wakeup prunes it — park the object in a graveyard
-        // instead of freeing it out from under that thread. Shrink the
-        // buffers now; the husk itself is tiny.
-        std::vector<uint8_t>().swap(conn->outbox);  // `= {}` would keep the capacity
-        conn->reader = {};
-        dead_conns_.push_back(std::move(it->second));
-        conns_.erase(it);
+    auto it = conns_.find(conn->fd);
+    if (it == conns_.end() || it->second.get() != conn) return;
+    ::close(conn->fd);
+    conn->fd = -1;
+    std::unique_ptr<Conn> husk = std::move(it->second);
+    conns_.erase(it);
+    size_t idx = conn->io_idx;
+    if (idx == SIZE_MAX) {
+        // Control owns it, and no op after its ConnDead names it: `husk`
+        // frees it here.
+        held_conns_.fetch_sub(1, std::memory_order_release);
+        return;
     }
+    // The owning io thread may still hold the pointer in its conn list: it
+    // frees the husk at the start of its next pass.
+    {
+        std::lock_guard<std::mutex> lock(io_[idx]->staging_mu);
+        io_[idx]->husks.push_back(std::move(husk));
+    }
+    kick_io(idx);
 }
 
 void Server::unlink_session(const SessionState& st) {

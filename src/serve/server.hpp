@@ -109,6 +109,11 @@ class Server {
 
     [[nodiscard]] const ServerCounters& counters() const { return counters_; }
     [[nodiscard]] size_t live_sessions() const { return sessions_.size(); }
+    /// Connections whose memory the server still holds: the live ones plus
+    /// dropped ones an io thread has yet to free (see drop_conn).
+    [[nodiscard]] size_t held_connections() const {
+        return held_conns_.load(std::memory_order_acquire);
+    }
 
   private:
     struct Conn {
@@ -150,6 +155,7 @@ class Server {
         std::thread th;
         std::mutex staging_mu;
         std::vector<Conn*> staging;    // control -> io: adopt these conns
+        std::vector<std::unique_ptr<Conn>> husks;  // control -> io: free these
         std::vector<Conn*> conns;      // io thread private
     };
 
@@ -219,11 +225,11 @@ class Server {
     std::mutex ops_mu_;
     std::vector<Op> ops_;
 
-    // Conns are created on accept (control thread). drop_conn moves them to
-    // the graveyard rather than freeing: the owning io thread may still see
-    // the pointer until its next wakeup prunes dead entries.
+    // Conns are created on accept (control thread). drop_conn frees a
+    // control-owned conn at once and hands an io-owned one to its io
+    // thread, which frees it at the start of its next pass (IoThread::husks).
     std::map<int, std::unique_ptr<Conn>> conns_;
-    std::vector<std::unique_ptr<Conn>> dead_conns_;
+    std::atomic<size_t> held_conns_{0};
 
     std::map<SessionId, DrainedSession> drained_;  // resume_dir inventory
     int64_t resumed_fleet_now_ = 0;

@@ -8,7 +8,9 @@
 // one run the failure-path tests only).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -472,6 +474,184 @@ TEST(AotInstance, RejectsCrossBackendSnapshots) {
     host::Instance compiled_other(other, ocfg);
     compiled_other.boot();
     EXPECT_THROW(compiled_other.load(aot_blob), rt::snap::SnapshotError);
+}
+
+// -- the backend contract: one table of steps, both backends -----------------
+
+/// Inputs by id and by name, timers, an async, an output event and a fault
+/// lever: everything rt::Backend carries.
+constexpr const char* kContract = R"(
+    input int ADD;
+    input void GO, TRIP, STOP;
+    output int Total;
+    int total = 0;
+    int n = 0;
+    int v = 0;
+    par do
+       loop do
+          v = await ADD;
+          total = total + v;
+          emit Total = total;
+       end
+    with
+       loop do
+          await 10ms;
+          n = n + 1;
+          _printf("tick %d\n", n);
+       end
+    with
+       loop do
+          await GO;
+          int r = async do
+             int acc = 0;
+             int i = 0;
+             loop do
+                i = i + 1;
+                acc = acc + i;
+                if i == 20 then break; end
+             end
+             return acc;
+          end;
+          _printf("sum %d\n", r);
+       end
+    with
+       await TRIP;
+       _ceu_trip();
+    with
+       await STOP;
+       return total;
+    end
+)";
+
+/// One step of the table, and what the call itself returned, if anything.
+struct Step {
+    const char* what;
+    std::function<std::string(host::Instance&)> run;
+};
+
+using Inst = host::Instance;
+
+/// A step whose call returns nothing.
+Step act(const char* what, std::function<void(Inst&)> call) {
+    return {what, [call](Inst& i) {
+        call(i);
+        return std::string();
+    }};
+}
+
+/// A step whose call answers yes or no.
+Step ask(const char* what, std::function<bool(Inst&)> call) {
+    return {what, [call](Inst& i) { return std::string(call(i) ? "true" : "false"); }};
+}
+
+std::vector<Step> contract_steps() {
+    auto add_by_id = [](Inst& i, int64_t v) {
+        i.inject(static_cast<int>(i.resolve_input("ADD")), rt::Value::integer(v));
+    };
+    return {
+        act("boot", [](Inst& i) { i.boot(); }),
+        act("inject by id", [add_by_id](Inst& i) { add_by_id(i, 5); }),
+        act("inject by name", [](Inst& i) { i.inject("ADD", rt::Value::integer(7)); }),
+        ask("unknown name", [](Inst& i) { return i.try_inject("NOPE"); }),
+        act("advance across two deadlines", [](Inst& i) { i.advance(25 * kMs); }),
+        act("spawn the async", [](Inst& i) { i.inject("GO"); }),
+        ask("step_async", [](Inst& i) { return i.step_async(); }),
+        ask("run_async_slices(3)", [](Inst& i) { return i.run_async_slices(3); }),
+        act("advance_to a deadline", [](Inst& i) { i.advance_to(40 * kMs); }),
+        ask("run_async_slices(100)", [](Inst& i) { return i.run_async_slices(100); }),
+        act("note", [](Inst& i) { i.note("[host] checkpoint here"); }),
+        act("power_cycle", [](Inst& i) { i.power_cycle(); }),
+        act("inject after the reboot", [add_by_id](Inst& i) { add_by_id(i, 3); }),
+        act("advance after the reboot", [](Inst& i) { i.advance(10 * kMs); }),
+        act("reset", [](Inst& i) { i.reset(); }),
+        act("boot after reset", [](Inst& i) { i.boot(); }),
+        act("trip", [](Inst& i) { i.inject("TRIP"); }),
+        act("inject while faulted", [add_by_id](Inst& i) { add_by_id(i, 1); }),
+        act("advance while faulted", [](Inst& i) { i.advance(10 * kMs); }),
+    };
+}
+
+/// An Instance with every sink attached; apply() reports what one step
+/// left visible: the backend-neutral gauges, and the output lines, span
+/// digests and status transitions it streamed.
+struct Probe {
+    Probe(std::shared_ptr<const flat::CompiledProgram> cp, const host::Config& cfg)
+        : inst(std::move(cp), cfg) {
+        inst.add_output_sink([this](const std::string& l) { log << "line " << l << "\n"; });
+        inst.add_span_sink([this](const obs::ReactionSpan& s) {
+            log << "span kind " << static_cast<int>(s.kind) << " id " << s.id << " seq "
+                << s.seq << " ts " << s.ts << " wakes " << s.wakes() << " emits "
+                << s.emits() << " timers " << s.timer_fires() << " end " << s.end_status
+                << " result " << s.result << "\n";
+        });
+        inst.add_status_sink([this](rt::Engine::Status st) {
+            log << "status -> " << static_cast<int>(st) << "\n";
+        });
+    }
+
+    std::string apply(const Step& step) {
+        log.str("");
+        std::string ret = step.run(inst);
+        log << "returned '" << ret << "' status " << static_cast<int>(inst.status())
+            << " result " << inst.result().as_int() << " now " << inst.now()
+            << " reactions " << inst.reactions() << " deadline "
+            << inst.next_timer_deadline() << " async " << inst.has_async_work() << "\n";
+        return log.str();
+    }
+
+    std::ostringstream log;  // before inst: the status sink writes on registration
+    host::Instance inst;
+};
+
+TEST(AotInstance, BackendContractHoldsStepByStep) {
+    SKIP_WITHOUT_CC();
+    auto cp = compile_shared(kContract);
+    std::string err;
+    aot::ProgramHandle h = aot::FleetImage::build_one(cp, {}, &err);
+    ASSERT_TRUE(h) << err;
+    host::Config interp_cfg;
+    interp_cfg.engine.trap_faults = true;  // _ceu_trip() faults, as in the C
+    host::Config aot_cfg;
+    aot_cfg.aot = h;
+    const std::vector<Step> steps = contract_steps();
+
+    auto run = [&](const host::Config& cfg) {
+        Probe p(cp, cfg);
+        std::vector<std::string> seen;
+        for (const Step& s : steps) seen.push_back(p.apply(s));
+        return seen;
+    };
+    const std::vector<std::string> interp = run(interp_cfg);
+    const std::vector<std::string> compiled = run(aot_cfg);
+    for (size_t i = 0; i < steps.size(); ++i) {
+        EXPECT_EQ(interp[i], compiled[i]) << "step " << i << ": " << steps[i].what;
+    }
+    EXPECT_NE(interp.back().find("status 2"), std::string::npos) << "the trip must fault";
+
+    // Saved at any step boundary and loaded into a fresh instance of the
+    // same backend, a run continues exactly as the uninterrupted one.
+    for (const host::Config* cfg : {&interp_cfg, &aot_cfg}) {
+        const std::vector<std::string>& ref = cfg->aot ? compiled : interp;
+        for (size_t k = 0; k <= steps.size(); ++k) {
+            Probe saved(cp, *cfg);
+            for (size_t i = 0; i < k; ++i) saved.apply(steps[i]);
+            Probe restored(cp, *cfg);
+            restored.inst.load(saved.inst.save());
+            for (size_t i = k; i < steps.size(); ++i) {
+                EXPECT_EQ(restored.apply(steps[i]), ref[i])
+                    << (cfg->aot ? "compiled" : "interpreted") << ", saved before step " << k
+                    << ", step " << i << ": " << steps[i].what;
+            }
+        }
+    }
+
+    // A payload never crosses backends.
+    Probe a(cp, interp_cfg);
+    Probe b(cp, aot_cfg);
+    a.apply(steps[0]);
+    b.apply(steps[0]);
+    EXPECT_THROW(a.inst.load(b.inst.save()), rt::snap::SnapshotError);
+    EXPECT_THROW(b.inst.load(a.inst.save()), rt::snap::SnapshotError);
 }
 
 // -- host-commanded restart at the fleet instant ------------------------------

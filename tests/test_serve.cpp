@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -725,6 +726,35 @@ TEST(Serve, InjectsRacingCloseNeverReachTheSlotsNextSession) {
     }
     EXPECT_EQ(g.server.live_sessions(), 1u);
     churn.bye();
+}
+
+TEST(Serve, DroppedConnectionsAreFreed) {
+    // A client that reconnects in a loop must not grow the server: a
+    // dropped connection is freed once no thread can reach it — at once
+    // without io threads, after its io thread's next pass with them.
+    for (size_t io_threads : {0u, 2u}) {
+        SCOPED_TRACE(io_threads);
+        ServerConfig cfg;
+        cfg.io_threads = io_threads;
+        ServerGuard g(cfg);
+        for (int i = 0; i < 1000; ++i) {
+            Client c;
+            c.connect(g.server.port(), "counter");  // Hello / Welcome
+            c.disconnect();
+        }
+        Client live;
+        live.connect(g.server.port(), "counter");
+        live.ping();
+        // The last drops may still be in flight: their ConnDead ops, and
+        // with io threads the hand-over of the husks.
+        auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (g.server.held_connections() > 1 &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_EQ(g.server.held_connections(), 1u);
+        live.bye();
+    }
 }
 
 TEST(Serve, ShutdownAnnouncesToConnectedClients) {

@@ -727,7 +727,8 @@ TEST(Supervision, RebootRestartsACompiledMemberFromScratch) {
 
 TEST(Supervision, RestoreResumesACompiledMemberFromItsCheckpoint) {
     if (!aot::toolchain_available()) GTEST_SKIP() << "no host C compiler";
-    // Compiled contexts snapshot as CEUAOT01 blobs (same-process images):
+    // Compiled contexts snapshot as CEUHST01 blobs around a CEUAOT01
+    // payload (a same-process context image):
     // the Restore policy round-trips them just like interpreter snapshots,
     // so the member resumes with its accumulated state.
     reactor::ReactorConfig rc;
