@@ -172,7 +172,6 @@ struct Cell {
     double boot_ms = 0;
     double bytes_per_instance = 0;   // exact per-member state (engine RAM
                                      // model / compiled ctx), not RSS delta
-    uint64_t arena_bytes = 0;        // shard envelope pools (slab-reserved)
     uint64_t steady_alloc_bytes = 0; // ::operator new during measured rounds
     uint64_t steady_alloc_calls = 0;
     uint64_t steals = 0;
@@ -245,7 +244,7 @@ Cell run_cell(size_t workers, size_t instances,
         r.advance(10 * kMs);
         r.drain();
     };
-    // Warmup: grow the envelope pools and round scratch vectors to steady
+    // Warmup: grow the shard inboxes and round scratch vectors to steady
     // capacity, so the measured loop shows the steady state.
     one_round();
     one_round();
@@ -263,7 +262,6 @@ Cell run_cell(size_t workers, size_t instances,
     cell.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     obs::ProcessStats after = r.fleet_stats();
     cell.reactions = after.reactions - before;
-    cell.arena_bytes = after.arena_bytes;
     cell.steals = after.steals;
     cell.steal_failures = after.steal_failures;
     for (size_t k = 0; k < 4; ++k) cell.phase_ns[k] = after.phase_ns[k];
@@ -401,7 +399,6 @@ void emit_cell(std::ostringstream& js, const Cell& c, bool first) {
     js << (first ? "" : ",") << "{\"workers\":" << c.workers
        << ",\"instances\":" << c.instances << ",\"boot_ms\":" << c.boot_ms
        << ",\"bytes_per_instance\":" << c.bytes_per_instance
-       << ",\"arena_bytes\":" << c.arena_bytes
        << ",\"steady_alloc_bytes\":" << c.steady_alloc_bytes
        << ",\"steady_alloc_calls\":" << c.steady_alloc_calls
        << ",\"steals\":" << c.steals

@@ -20,7 +20,7 @@ gate judges the run by the box it ran on, not the box running the gate):
                     the runner). The old inline --check demanded 5x, but
                     most of that gap was the interpreter's per-reaction
                     timestamp overhead — with reaction timing off by
-                    default and arena-backed envelopes/timers the
+                    default and allocation-free envelopes/timers the
                     interpreter runs ~17x faster, so the honest claim is
                     "compiled still wins", not a fixed multiple.
   steady-state      the warmed interpreted 10k-mix 1-worker cell must not

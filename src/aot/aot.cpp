@@ -1,10 +1,8 @@
 #include "aot/aot.hpp"
 
 #include <dlfcn.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -20,18 +18,18 @@ void set_err(std::string* err, std::string msg) {
     if (err != nullptr) *err = std::move(msg);
 }
 
-/// Process-unique scratch directory name (not yet created). Same root
-/// resolution as the differential harness: workdir, else $TMPDIR, else /tmp.
-std::string unique_dir(const BuildOptions& opt) {
-    static std::atomic<int> counter{0};
+/// mkdtemp template for a build's scratch directory. Same root resolution
+/// as the differential harness: workdir, else $TMPDIR, else /tmp. mkdtemp
+/// picks a name no directory holds yet, so a directory an earlier process
+/// kept (keep_artifacts) can never make a later build fail.
+std::string work_dir_template(const BuildOptions& opt) {
     std::string dir = opt.work_dir;
     if (dir.empty()) {
         const char* t = std::getenv("TMPDIR");
         dir = (t != nullptr && *t != '\0') ? t : "/tmp";
     }
     if (dir.back() != '/') dir += '/';
-    return dir + "ceu_aot_" + std::to_string(getpid()) + "_" +
-           std::to_string(counter.fetch_add(1));
+    return dir + "ceu_aot_XXXXXX";
 }
 
 std::string read_text(const std::string& path) {
@@ -121,8 +119,8 @@ std::shared_ptr<const FleetImage> FleetImage::build(
             return nullptr;
         }
     }
-    std::string dir = unique_dir(opt);
-    if (::mkdir(dir.c_str(), 0700) != 0) {
+    std::string dir = work_dir_template(opt);
+    if (::mkdtemp(dir.data()) == nullptr) {
         set_err(err, "aot: cannot create work directory " + dir);
         return nullptr;
     }

@@ -298,11 +298,12 @@ std::vector<uint8_t> Instance::save() const {
     w.bytes(reinterpret_cast<const uint8_t*>(kHostMagic), sizeof kHostMagic);
     w.i64(clock_);
     // Length-prefixed backend payload so the host layer can add fields
-    // after it without version-coupling to either backend's format.
-    std::vector<uint8_t> payload;
-    backend_->save(payload);
-    w.u32(static_cast<uint32_t>(payload.size()));
-    w.bytes(payload.data(), payload.size());
+    // after it without version-coupling to either backend's format. The
+    // backend appends straight into the frame; the prefix is patched after.
+    size_t len_at = out.size();
+    w.u32(0);
+    backend_->save(out);
+    w.u32_at(len_at, static_cast<uint32_t>(out.size() - len_at - 4));
     w.u64(recorder_.seq());
     write_stats(w, recorder_.stats());
     return out;

@@ -62,19 +62,17 @@ void ProcessStats::merge(const ProcessStats& other) {
     sheds += other.sheds;
     steals += other.steals;
     steal_failures += other.steal_failures;
-    arena_bytes += other.arena_bytes;
     for (size_t k = 0; k < phase_ns.size(); ++k) phase_ns[k] += other.phase_ns[k];
 }
 
 void ProcessStats::clear_measured() {
     wall_ns = 0;
     max_reaction_wall_ns = 0;
-    // Scheduler diagnostics: who stole what, how many slabs each shard
-    // grew, how long each phase ran — all functions of worker count and
-    // thread timing, none of the input sequence.
+    // Scheduler diagnostics: who stole what and how long each phase ran —
+    // functions of worker count and thread timing, not of the input
+    // sequence.
     steals = 0;
     steal_failures = 0;
-    arena_bytes = 0;
     phase_ns = {0, 0, 0, 0};
 }
 
@@ -84,7 +82,6 @@ std::string ProcessStats::to_json() const {
     std::ostringstream os;
     os << "{";
     os << "\"allocations\":" << allocations;
-    os << ",\"arena_bytes\":" << arena_bytes;
     os << ",\"checkpoints\":" << checkpoints;
     os << ",\"emits\":" << emits;
     os << ",\"fault_injections\":" << fault_injections;

@@ -104,14 +104,13 @@ struct ProcessStats {
     uint64_t sheds = 0;                // envelopes rejected by inbox backpressure
 
     // Scheduler counters (reactor-reported, like the supervision block):
-    // work-stealing traffic, per-shard arena footprint, and per-phase round
-    // time. All of them depend on worker count and thread timing, so
-    // clear_measured() zeroes them — they are diagnostics, not part of the
-    // deterministic contract — and the per-instance checkpoint format does
-    // not carry them (they are fleet-level, stamped at fleet_stats time).
+    // work-stealing traffic and per-phase round time. All of them depend on
+    // worker count and thread timing, so clear_measured() zeroes them —
+    // they are diagnostics, not part of the deterministic contract — and
+    // the per-instance checkpoint format does not carry them (they are
+    // fleet-level, stamped at fleet_stats time).
     uint64_t steals = 0;           // items executed by a non-owning worker
     uint64_t steal_failures = 0;   // empty-handed victim scans
-    uint64_t arena_bytes = 0;      // bytes reserved by shard arenas
     std::array<uint64_t, 4> phase_ns = {0, 0, 0, 0};  // restarts/events/timers/asyncs
 
     /// Reactions per wall second spent inside chains (0 if unmeasured).

@@ -1,22 +1,21 @@
-// Lock-free MPSC mailbox for batched external-event injection.
+// Per-shard inbox for batched external-event injection.
 //
-// Producers (any thread) push envelopes with a single CAS loop; the owning
-// shard worker grabs the whole batch with one exchange at the start of a
-// scheduling round. Because the reactor sorts each drained batch by its
-// global injection ticket before delivery, the grab order (LIFO) is
-// irrelevant — a Treiber-style push list is sufficient and avoids the
-// stub-node bookkeeping of linked MPSC FIFO queues.
+// Producers (any thread) append by-value envelopes to one vector under the
+// inbox lock; the owning shard worker takes the whole batch at the start of
+// a scheduling round by swapping that vector with its round scratch. Both
+// buffers keep their capacity across the swap, so a warmed fleet injects
+// and drains without touching the global allocator.
 //
-// Memory: envelopes are heap nodes owned by the queue between push() and
-// drain_into(); the drainer frees them after delivery. Producers never
-// free, consumers never push, so there is no ABA window (the consumer
-// takes the entire list at once and never re-links nodes).
+// Ticket order: push() draws the envelope's global ticket inside the same
+// critical section as the append, so an inbox always holds its envelopes
+// in ascending ticket order, and a drain takes a prefix of that sequence.
+// A round can therefore never deliver a member's later ticket while an
+// earlier one is still on its way into the inbox.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "runtime/value.hpp"
@@ -43,65 +42,47 @@ using InstanceId = uint64_t;
 }
 
 /// One external-event occurrence in flight from a producer thread to the
-/// instance's shard. `ticket` is the global injection ordinal: draining
-/// sorts by it, so delivery order per instance equals inject-call order
-/// regardless of worker count or grab timing.
+/// instance's shard. `ticket` is the global injection ordinal: delivery
+/// order per instance is ticket order, regardless of worker count or
+/// drain timing.
 struct Envelope {
     InstanceId instance = 0;
     EventId event = kNoEvent;
     rt::Value value = rt::Value::integer(0);
     uint64_t ticket = 0;
-    Envelope* next = nullptr;
 };
 
 class Mailbox {
   public:
-    Mailbox() = default;
-    Mailbox(const Mailbox&) = delete;
-    Mailbox& operator=(const Mailbox&) = delete;
-    ~Mailbox() {
-        Envelope* e = head_.load(std::memory_order_relaxed);
-        while (e != nullptr) {
-            Envelope* n = e->next;
-            delete e;
-            e = n;
-        }
+    /// Any thread: appends `e`, stamped with the next ticket drawn from
+    /// `tickets` under the inbox lock, and returns that ticket.
+    uint64_t push(Envelope e, std::atomic<uint64_t>& tickets) {
+        std::lock_guard<std::mutex> lk(mu_);
+        e.ticket = tickets.fetch_add(1, std::memory_order_relaxed);
+        queue_.push_back(e);
+        return e.ticket;
     }
 
-    /// Lock-free push from any thread. Takes ownership of `e`.
-    void push(Envelope* e) {
-        Envelope* old = head_.load(std::memory_order_relaxed);
-        do {
-            e->next = old;
-        } while (!head_.compare_exchange_weak(old, e, std::memory_order_release,
-                                              std::memory_order_relaxed));
-    }
-
-    /// Consumer side: atomically takes every queued envelope, appends them
-    /// to `out` sorted by ascending ticket, and returns how many arrived.
-    /// Ownership of the envelopes transfers to the caller.
-    size_t drain_into(std::vector<Envelope*>& out) {
-        Envelope* e = head_.exchange(nullptr, std::memory_order_acquire);
-        size_t start = out.size();
-        while (e != nullptr) {
-            out.push_back(e);
-            e = e->next;
-        }
-        // The push list is LIFO; tickets restore global injection order.
-        std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end(),
-                  [](const Envelope* a, const Envelope* b) { return a->ticket < b->ticket; });
-        return out.size() - start;
+    /// Consumer side: replaces `out`'s contents with every queued envelope,
+    /// in ticket order, and hands `out`'s buffer to the inbox for the next
+    /// batch.
+    void drain_into(std::vector<Envelope>& out) {
+        out.clear();
+        std::lock_guard<std::mutex> lk(mu_);
+        queue_.swap(out);
     }
 
     [[nodiscard]] bool empty() const {
-        return head_.load(std::memory_order_acquire) == nullptr;
+        std::lock_guard<std::mutex> lk(mu_);
+        return queue_.empty();
     }
 
   private:
-    // Producers from every thread CAS this head; keep it off whatever the
-    // embedding object packs around the mailbox (in the reactor: the
-    // shard's scheduler state, read every round by the owner).
-    alignas(64) std::atomic<Envelope*> head_{nullptr};
+    // Producers from every thread take this lock; keep it off whatever the
+    // embedding object packs around the inbox (in the reactor: the shard's
+    // scheduler state, read every round by the owner).
+    alignas(64) mutable std::mutex mu_;
+    std::vector<Envelope> queue_;
 };
 
 }  // namespace ceu::reactor

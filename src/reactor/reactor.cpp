@@ -65,15 +65,6 @@ Reactor::~Reactor() {
         pool_cv_.notify_all();
         for (std::thread& t : threads_) t.join();
     }
-    // Undelivered envelopes are pool cells, not heap nodes: return them to
-    // their pool before the Mailbox destructor (which deletes whatever is
-    // left — correct for standalone mailboxes, fatal for pooled cells).
-    for (Shard& sh : shards_) {
-        sh.drained.clear();
-        sh.mailbox.drain_into(sh.drained);
-        for (Envelope* e : sh.drained) sh.pool.free(e);
-        sh.drained.clear();
-    }
     for (std::atomic<Slot*>& c : chunks_) {
         delete[] c.load(std::memory_order_relaxed);
     }
@@ -231,9 +222,9 @@ InjectResult Reactor::inject(InstanceId id, EventId event, rt::Value v) {
     if (sl.generation.load(std::memory_order_acquire) != instance_generation(id)) {
         return {InjectResult::Status::Retired, 0};
     }
-    // Reserve an inbox seat before allocating anything: capacity is
-    // enforced at the producer, so a flooded member sheds here instead of
-    // growing its mailbox without bound. The seat is released by the
+    // Reserve an inbox seat before queueing anything: capacity is enforced
+    // at the producer, so a flooded member sheds here instead of growing
+    // its shard's inbox without bound. The seat is released by the
     // draining executor, one per envelope.
     uint32_t prev = sl.inbox_depth.fetch_add(1, std::memory_order_acq_rel);
     if (cfg_.inbox_capacity > 0 && prev >= cfg_.inbox_capacity) {
@@ -245,19 +236,7 @@ InjectResult Reactor::inject(InstanceId id, EventId event, rt::Value v) {
         uint64_t t = ticket_.fetch_add(1, std::memory_order_relaxed);
         return {InjectResult::Status::Shed, t};
     }
-    Shard& sh = shard_of(id);
-    // Pool cell, not a heap node: a warmed-up fleet injects and drains
-    // without ever touching the global allocator.
-    Envelope* e = sh.pool.alloc();
-    e->instance = id;
-    e->event = event;
-    e->value = v;
-    // push() transfers ownership: a worker draining mid-round may consume
-    // and recycle the envelope immediately, so the ticket must be returned
-    // from a local, never read back through e.
-    uint64_t t = ticket_.fetch_add(1, std::memory_order_relaxed);
-    e->ticket = t;
-    sh.mailbox.push(e);
+    uint64_t t = shard_of(id).mailbox.push({id, event, v, 0}, ticket_);
     return {InjectResult::Status::Accepted, t};
 }
 
@@ -471,18 +450,17 @@ void Reactor::execute_item(Shard& sh, size_t idx) {
         // touched for them.
         bool deliver = current(it.id) && sl.booted;
         for (uint32_t k = it.env_begin; k < it.env_end; ++k) {
-            Envelope* e = sh.drained[k];
+            const Envelope& e = sh.drained[k];
             sl.inbox_depth.fetch_sub(1, std::memory_order_relaxed);
             if (deliver) {
                 try {
                     sync_clock(sl);
-                    sl.inst->inject(static_cast<int>(e->event), e->value);
+                    sl.inst->inject(static_cast<int>(e.event), e.value);
                     after_reaction(it.id, sl, ops);
                 } catch (const std::exception& ex) {
                     if (sl.error.empty()) sl.error = ex.what();
                 }
             }
-            sh.pool.free(e);
         }
     } else {
         // One instance's async slice budget.
@@ -610,27 +588,26 @@ void Reactor::run_shard_round(Shard& sh) {
     }
     lap(0);
 
-    // Phase 1: events. One atomic exchange empties the mailbox; tickets
-    // restore per-instance injection order. The batch is grouped into one
-    // stealable item per target instance (groups ordered by their first
-    // ticket), each delivering its envelopes in ticket order after lazily
-    // syncing the target's clock to the fleet instant (due timers fire
-    // first, as they would have under real time). Every envelope releases
-    // its inbox seat, delivered or not.
-    sh.drained.clear();
+    // Phase 1: events. One swap under the inbox lock takes the batch into
+    // the round scratch. The batch is grouped into one stealable item per
+    // target instance (groups ordered by their first ticket), each
+    // delivering its envelopes in ticket order after lazily syncing the
+    // target's clock to the fleet instant (due timers fire first, as they
+    // would have under real time). Thieves read the envelopes in place.
+    // Every envelope releases its inbox seat, delivered or not.
     sh.mailbox.drain_into(sh.drained);
     if (!sh.drained.empty()) {
         // Group by instance, keeping ticket order inside each group.
         std::sort(sh.drained.begin(), sh.drained.end(),
-                  [](const Envelope* a, const Envelope* b) {
-                      return a->instance != b->instance ? a->instance < b->instance
-                                                        : a->ticket < b->ticket;
+                  [](const Envelope& a, const Envelope& b) {
+                      return a.instance != b.instance ? a.instance < b.instance
+                                                      : a.ticket < b.ticket;
                   });
         sh.groups.clear();
         for (uint32_t k = 0; k < sh.drained.size();) {
             uint32_t begin = k;
-            InstanceId id = sh.drained[k]->instance;
-            while (k < sh.drained.size() && sh.drained[k]->instance == id) ++k;
+            InstanceId id = sh.drained[k].instance;
+            while (k < sh.drained.size() && sh.drained[k].instance == id) ++k;
             sh.groups.emplace_back(begin, k);
         }
         // Deliver groups in global-injection order of their first event —
@@ -640,11 +617,11 @@ void Reactor::run_shard_round(Shard& sh) {
         std::sort(sh.groups.begin(), sh.groups.end(),
                   [&sh](const std::pair<uint32_t, uint32_t>& a,
                         const std::pair<uint32_t, uint32_t>& b) {
-                      return sh.drained[a.first]->ticket < sh.drained[b.first]->ticket;
+                      return sh.drained[a.first].ticket < sh.drained[b.first].ticket;
                   });
         sh.items.clear();
         for (const auto& [begin, end] : sh.groups) {
-            sh.items.push_back({sh.drained[begin]->instance, begin, end, 1});
+            sh.items.push_back({sh.drained[begin].instance, begin, end, 1});
         }
         run_items(sh, sh.items.size());
     }
@@ -755,7 +732,6 @@ obs::ProcessStats Reactor::fleet_stats() const {
     for (const Shard& sh : shards_) {
         total.steals += sh.steals.load(std::memory_order_relaxed);
         total.steal_failures += sh.steal_failures.load(std::memory_order_relaxed);
-        total.arena_bytes += sh.pool.reserved_bytes();
         for (size_t k = 0; k < sh.phase_ns.size(); ++k) {
             total.phase_ns[k] += sh.phase_ns[k];
         }

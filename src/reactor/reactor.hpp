@@ -9,7 +9,8 @@
 // queue (the drained mailbox batch), a per-shard FleetTimers heap indexing
 // its members' earliest deadlines, a per-shard async-live list, and a
 // per-shard restart agenda. Workers never touch another shard's instances,
-// so rounds need no locking beyond the start/finish barrier.
+// so rounds need no locking beyond the start/finish barrier and the one
+// inbox swap that starts a shard's round.
 //
 // Rounds. All scheduling happens in discrete *rounds* (run_round), each of
 // which runs the same four phases on every shard:
@@ -17,8 +18,8 @@
 //                instant execute, sorted by (due, instance): restore the
 //                latest checkpoint or reboot from scratch per the member's
 //                SupervisorPolicy;
-//   1. events  — drain the shard mailbox (one atomic exchange), sort by
-//                global injection ticket, and deliver each envelope after
+//   1. events  — swap the shard's inbox out under its lock, sort by
+//                (instance, ticket), and deliver each envelope after
 //                lazily syncing the target's clock to the fleet instant
 //                (due timers fire first, as they would have in real time);
 //   2. timers  — pop due candidates off the shard's timer heap in
@@ -66,13 +67,14 @@
 // Threading contract. inject() is safe from any thread, including
 // mid-round and concurrently with add_instance()/retire(): it reads only
 // the slot's atomics and its program (which the reactor keeps alive until
-// it is destroyed), never the Instance that retire() frees. The table is
-// chunked and pointer-stable, and its size is published with
-// release/acquire ordering, so a concurrent injector either sees a fully
-// constructed slot or an out-of-range id. add_instance/retire themselves,
-// and everything else — boot, advance, run_round, drain, instance(),
-// set_policy, fleet_stats — must still be called from the one control
-// thread, between rounds.
+// it is destroyed), never the Instance that retire() frees, and takes the
+// shard's inbox lock for one append. The table is chunked and
+// pointer-stable, and its size is published with release/acquire
+// ordering, so a concurrent injector either sees a fully constructed slot
+// or an out-of-range id. add_instance/retire themselves, and everything
+// else — boot, advance, run_round, drain, instance(), set_policy,
+// fleet_stats — must still be called from the one control thread, between
+// rounds.
 #pragma once
 
 #include <array>
@@ -89,7 +91,6 @@
 #include <vector>
 
 #include "host/instance.hpp"
-#include "reactor/arena.hpp"
 #include "reactor/fleet_timers.hpp"
 #include "reactor/mailbox.hpp"
 #include "reactor/steal.hpp"
@@ -192,13 +193,14 @@ class Reactor {
 
     // -- inputs (inject: any thread; advance: control thread) ----------------
 
-    /// Queues one occurrence of input `event` for `id`. Lock-free; safe
-    /// from any thread, including mid-round and concurrently with
-    /// add_instance/retire. Delivery happens in the next round, in global
-    /// injection-ticket order. Backpressure: over-capacity occurrences are
-    /// shed here, not queued (see InjectResult). A retired id gets
-    /// Retired, even once its slot holds a newer member. Ids outside the
-    /// table still throw: that is API misuse, not load.
+    /// Queues one occurrence of input `event` for `id`: takes the shard's
+    /// inbox lock for one append. Safe from any thread, including mid-round
+    /// and concurrently with add_instance/retire. Delivery happens in the
+    /// next round, in global injection-ticket order. Backpressure:
+    /// over-capacity occurrences are shed here, not queued (see
+    /// InjectResult). A retired id gets Retired, even once its slot holds a
+    /// newer member. Ids outside the table still throw: that is API misuse,
+    /// not load.
     InjectResult inject(InstanceId id, EventId event,
                         rt::Value v = rt::Value::integer(0));
     /// Name-resolving variant (resolves against the slot's program — O(1)
@@ -360,17 +362,13 @@ class Reactor {
         Mailbox mailbox;
         FleetTimers timers;
         std::vector<InstanceId> fresh;        // added since the last boot
-        std::vector<Envelope*> drained;       // round scratch
+        std::vector<Envelope> drained;        // round scratch, swapped with the inbox
         std::vector<FleetTimers::Due> due;
         std::vector<InstanceId> async_live;
         std::vector<InstanceId> async_scratch;
         std::vector<RestartDue> agenda;       // pending supervised restarts
         std::vector<RestartDue> due_restarts; // round scratch
         bool work_left = false;               // set by the last round
-
-        // Envelope memory: producers allocate here (inject), executors —
-        // owner or thief — free here. Slab-backed, byte-exact accounting.
-        ObjectPool<Envelope> pool;
 
         // Stealable-phase state. items/ops/done are indexed by the deque's
         // published indices; they are (re)sized only while the deque is

@@ -297,13 +297,6 @@ void Engine::go_event(int event_id, Value v) {
     run_reaction();
 }
 
-bool Engine::go_event_by_name(const std::string& name, Value v) {
-    int id = cp_.sema.input_id(name);
-    if (id < 0) return false;
-    go_event(id, v);
-    return true;
-}
-
 void Engine::go_time(Micros now) {
     if (status_ != Status::Running) return;
     check_not_reentrant("go_time");

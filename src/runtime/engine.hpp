@@ -119,11 +119,6 @@ class Engine final : public Backend {
 
     void go_init() override;
     void go_event(int event_id, Value v = Value::integer(0)) override;
-    /// Thin resolve-once wrapper over go_event: interns `name` to its dense
-    /// EventId (O(1) against the sema index) and delivers by id. Returns
-    /// false if the name is unknown. Hot paths should resolve once and
-    /// call go_event directly.
-    bool go_event_by_name(const std::string& name, Value v = Value::integer(0));
     void go_time(Micros now) override;
     /// Runs one slice of the current async (round-robin). Returns true if
     /// asynchronous work remains afterwards.

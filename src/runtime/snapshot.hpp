@@ -35,6 +35,11 @@ class ByteWriter {
     void u64(uint64_t v) {
         for (int i = 0; i < 8; ++i) out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
     }
+    /// Overwrites the u32 at byte offset `at`: a length prefix written
+    /// before the payload it counts.
+    void u32_at(size_t at, uint32_t v) {
+        for (int i = 0; i < 4; ++i) out_[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
     void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
     void str(const std::string& s) {
         u32(static_cast<uint32_t>(s.size()));

@@ -337,8 +337,8 @@ void Server::owner_dispatch(Conn* conn, Frame&& f) {
     }
     if (f.type == FrameType::Inject &&
         conn->pending_ops.load(std::memory_order_acquire) == 0) {
-        // Fast path: ticket-ordered lock-free inject straight from the
-        // owner thread. Only valid while no earlier frame from this
+        // Fast path: ticket-ordered inject straight from the owner
+        // thread. Only valid while no earlier frame from this
         // connection still waits on the control thread (order preservation).
         answer_inject(conn, f);
         owner_flush(conn);

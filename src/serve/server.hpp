@@ -16,7 +16,7 @@
 //     that shard workers filled during the round.
 //   - Optional *io* threads (ServerConfig::io_threads) each epoll a share
 //     of the connections. An Inject frame takes the fast path — a direct
-//     lock-free `Reactor::inject()` from the io thread plus an immediate
+//     `Reactor::inject()` from the io thread plus an immediate
 //     InjectReply — unless an earlier frame from the same connection is
 //     still queued for the control thread (the per-connection
 //     `pending_ops` counter), in which case it queues too: per-connection

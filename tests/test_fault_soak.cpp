@@ -195,7 +195,7 @@ TEST(EngineFaults, UnboundSymbolBecomesTrappableFault) {
 
     eng.go_init();
     ASSERT_EQ(eng.status(), Engine::Status::Running);
-    eng.go_event_by_name("Boom", rt::Value::integer(0));
+    eng.go_event(cp.sema.input_id("Boom"), rt::Value::integer(0));
     ASSERT_EQ(eng.status(), Engine::Status::Faulted);
     ASSERT_TRUE(eng.fault().has_value());
     EXPECT_NE(eng.fault()->message.find("unbound C function"), std::string::npos);
@@ -217,7 +217,7 @@ TEST(EngineFaults, UntrappedFaultStillThrows) {
     rt::CBindings bindings = env::make_standard_bindings();
     Engine eng(cp, bindings, EngineOptions{});  // trap_faults off (default)
     eng.go_init();
-    EXPECT_THROW(eng.go_event_by_name("Boom", rt::Value::integer(0)),
+    EXPECT_THROW(eng.go_event(cp.sema.input_id("Boom"), rt::Value::integer(0)),
                  rt::RuntimeError);
 }
 

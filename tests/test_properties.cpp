@@ -45,9 +45,13 @@ RunResult run_with(const flat::CompiledProgram& cp, const Script& script,
     for (const ScriptItem& item : script.items()) {
         if (eng.status() != Engine::Status::Running) break;
         switch (item.kind) {
-            case ScriptItem::Kind::Event:
-                eng.go_event_by_name(item.event, item.value);
+            case ScriptItem::Kind::Event: {
+                // A name the program does not declare is skipped, not
+                // delivered as an empty reaction.
+                EventId id = cp.sema.input_id(item.event);
+                if (id != kNoEvent) eng.go_event(id, item.value);
                 break;
+            }
             case ScriptItem::Kind::Advance:
                 clock += item.us;
                 eng.go_time(clock);
